@@ -1,6 +1,7 @@
 """Command line interface: ``ddmtest analyze``.
 
-Reads treebank files (or stdin), preprocesses them, runs the six-level
+Reads treebank files (or stdin) in one streaming pass that folds each
+cleaned sentence into its language's tally, then runs the six-level
 analysis and writes the report. Exit codes: 0 success, 1 argument/format
 error, 2 empty collection (nothing survived preprocessing).
 """
@@ -16,8 +17,7 @@ from pathlib import Path
 from . import pipeline, treebank
 from .nullmodels import Direction
 from .pipeline import LevelSpec
-from .treebank import ParseError, PreprocessConfig, Scheme
-from .trees import LinearizedTree
+from .treebank import ExclusionReason, ParseError, PreprocessConfig, Scheme
 
 _UD_DIR_RE = re.compile(r"UD_([A-Za-z_]+?)(?:-|$)")
 
@@ -102,20 +102,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args, cfg: PreprocessConfig):
-    trees: dict[str, list[LinearizedTree]] = {}
+    """Fold every input sentence into its language's tally, one at a time."""
+    tallies: dict[str, pipeline.LanguageTally] = {}
     exclusions: Counter[str] = Counter()
-    parse_errors: list[ParseError] = []
 
     def consume(stream, language: str, tag: str):
-        trees.setdefault(language, [])
+        tally = tallies.setdefault(language, pipeline.LanguageTally())
+        errors: list[ParseError] = []
         for sentence in treebank.parse_treebank(stream, args.format,
                                                 treebank_id=tag,
-                                                errors=parse_errors):
-            result = treebank.preprocess(sentence, cfg)
-            if isinstance(result, LinearizedTree):
-                trees[language].append(result)
-            else:
+                                                errors=errors):
+            result = treebank.clean_sentence(sentence, cfg)
+            if isinstance(result, ExclusionReason):
                 exclusions[result.value] += 1
+            else:
+                tally.add(*result)
+        if errors:
+            exclusions["parse_error"] += len(errors)
+            for err in errors:
+                print(f"ddmtest: skipped sentence ({err})", file=sys.stderr)
 
     stdin_requested = [p for p in args.input if p == "-"]
     file_paths = treebank.gather_files(p for p in args.input if p != "-")
@@ -125,11 +130,7 @@ def _load_inputs(args, cfg: PreprocessConfig):
             consume(fh, language, str(path))
     if stdin_requested:
         consume(sys.stdin.buffer, args.language or "stdin", "<stdin>")
-    if parse_errors:
-        exclusions["parse_error"] += len(parse_errors)
-        for err in parse_errors:
-            print(f"ddmtest: skipped sentence ({err})", file=sys.stderr)
-    return trees, dict(exclusions)
+    return tallies, dict(exclusions)
 
 
 def _run_analyze(args) -> int:
@@ -156,13 +157,13 @@ def _run_analyze(args) -> int:
             print(f"ddmtest: error: {exc}", file=sys.stderr)
             return 1
     try:
-        trees, exclusions = _load_inputs(args, cfg)
+        tallies, exclusions = _load_inputs(args, cfg)
     except (OSError, ValueError) as exc:
         print(f"ddmtest: error: {exc}", file=sys.stderr)
         return 1
 
-    report = pipeline.analyze_collection(
-        trees, families=families, alpha=args.alpha, levels=levels,
+    report = pipeline.analyze_tallies(
+        tallies, families=families, alpha=args.alpha, levels=levels,
         directions=directions, collection=args.collection,
         per_family=args.per_family,
         noncrossing=args.noncrossing_diagnostic,

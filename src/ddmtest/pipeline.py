@@ -9,20 +9,21 @@ meaningful far below float underflow.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
 from . import stats
-from .nullmodels import Direction, EnsembleSpec, mixture_probability, \
+from .nullmodels import Direction, EnsembleSpec, \
+    expected_d_random_arrangement, mixture_probability, \
     noncrossing_mixture_probability, shape_tail_probability
-from .trees import LinearizedTree, TreeShape, classify, sum_of_distances
+from .trees import LinearizedTree, TreeShape
 
 logger = logging.getLogger(__name__)
 
@@ -43,9 +44,6 @@ class LevelSpec(Enum):
     @property
     def sentence_length(self) -> int:
         return 3 if self is LevelSpec.N3_ALL else 4
-
-
-_EXPECTED_D = {3: Fraction(8, 3), 4: Fraction(5)}
 
 
 @dataclass(frozen=True)
@@ -106,36 +104,83 @@ class Report:
         return not self.summaries and not self.results
 
 
+# (numerator, denominator) of the random-arrangement mean of D, per counted n
+_MEAN_D = {n: expected_d_random_arrangement(n).as_integer_ratio()
+           for n in (3, 4)}
+_SIGNS = (1, -1, 0)                       # above, below, tie
+_LEVEL_SHAPES = {
+    LevelSpec.N3_ALL: (TreeShape.BOTH,),
+    LevelSpec.N4_ALL_REAL: (TreeShape.STAR, TreeShape.LINEAR),
+    LevelSpec.N4_UNLABELLED: (TreeShape.STAR, TreeShape.LINEAR),
+    LevelSpec.N4_LABELLED: (TreeShape.STAR, TreeShape.LINEAR),
+    LevelSpec.N4_STAR: (TreeShape.STAR,),
+    LevelSpec.N4_LINEAR: (TreeShape.LINEAR,),
+}
+
+
+def _n4_shape(edges) -> TreeShape:
+    """Star if the three edges share a vertex, else a path."""
+    (a, b), e2, e3 = edges
+    if (a in e2 and a in e3) or (b in e2 and b in e3):
+        return TreeShape.STAR
+    return TreeShape.LINEAR
+
+
+class LanguageTally:
+    """One language's trees, reduced to what the six levels need.
+
+    ``cells`` counts the n = 3 and n = 4 trees by (n, shape, sign), where
+    sign is 1, -1 or 0 as D lies above, below or on its random-arrangement
+    mean; ``trees`` counts every tree, of any length.
+    """
+
+    def __init__(self):
+        self.cells: Counter[tuple[int, TreeShape, int]] = Counter()
+        self.trees = 0
+
+    def add(self, n: int, edges) -> None:
+        """Fold in one tree on positions 1..n with the given edges."""
+        self.trees += 1
+        if n == 3:
+            shape = TreeShape.BOTH
+        elif n == 4:
+            shape = _n4_shape(edges)
+        else:
+            return
+        d = 0
+        for u, v in edges:
+            d += abs(u - v)
+        num, den = _MEAN_D[n]
+        diff = d * den - num
+        self.cells[n, shape, (diff > 0) - (diff < 0)] += 1
+
+    def level_counts(self, level: LevelSpec, language: str = "") -> LevelCounts:
+        """The tally of one level, as ``tally_level`` gives it."""
+        n = level.sentence_length
+        above, below, ties = (
+            sum(self.cells[n, shape, sign] for shape in _LEVEL_SHAPES[level])
+            for sign in _SIGNS)
+        m = above + below + ties
+        p_star = None
+        if level is LevelSpec.N4_ALL_REAL and m > 0:
+            stars = sum(self.cells[4, TreeShape.STAR, sign] for sign in _SIGNS)
+            p_star = Fraction(stars, m)
+        return LevelCounts(language=language, level=level, m=m, g_above=above,
+                           g_below=below, ties=ties, p_star_real=p_star)
+
+
+def fold_trees(trees: Iterable[LinearizedTree]) -> LanguageTally:
+    """One language's trees folded into a tally."""
+    tally = LanguageTally()
+    for tree in trees:
+        tally.add(tree.n, tree.edges)
+    return tally
+
+
 def tally_level(trees: Sequence[LinearizedTree], level: LevelSpec,
                 language: str = "") -> LevelCounts:
     """Count how one language's trees fall against the mean at one level."""
-    target_n = level.sentence_length
-    expected = _EXPECTED_D[target_n]
-    m = above = below = ties = stars = 0
-    for tree in trees:
-        if tree.n != target_n:
-            continue
-        if target_n == 4:
-            shape = classify(tree)
-            if level is LevelSpec.N4_STAR and shape is not TreeShape.STAR:
-                continue
-            if level is LevelSpec.N4_LINEAR and shape is not TreeShape.LINEAR:
-                continue
-            if shape is TreeShape.STAR:
-                stars += 1
-        m += 1
-        d = sum_of_distances(tree)
-        if d > expected:
-            above += 1
-        elif d < expected:
-            below += 1
-        else:
-            ties += 1
-    p_star = None
-    if level is LevelSpec.N4_ALL_REAL and m > 0:
-        p_star = Fraction(stars, m)
-    return LevelCounts(language=language, level=level, m=m, g_above=above,
-                       g_below=below, ties=ties, p_star_real=p_star)
+    return fold_trees(trees).level_counts(level, language)
 
 
 def _level_ensemble(counts: LevelCounts) -> EnsembleSpec | None:
@@ -210,7 +255,27 @@ def analyze_collection(treebanks: Mapping[str, Sequence[LinearizedTree]],
                        include_undersampled: bool = True,
                        exclusions: Mapping[str, int] | None = None,
                        metadata: Mapping[str, object] | None = None) -> Report:
-    """Run every requested (level, direction) over the whole collection.
+    """``analyze_tallies`` over each language's trees, folded once."""
+    return analyze_tallies(
+        {lang: fold_trees(trees) for lang, trees in treebanks.items()},
+        families=families, alpha=alpha, levels=levels, directions=directions,
+        collection=collection, per_family=per_family, noncrossing=noncrossing,
+        include_undersampled=include_undersampled, exclusions=exclusions,
+        metadata=metadata)
+
+
+def analyze_tallies(tallies: Mapping[str, LanguageTally],
+                    families: Mapping[str, str] | None = None,
+                    alpha: float = 0.05,
+                    levels: Sequence[LevelSpec] | None = None,
+                    directions: Sequence[Direction] | None = None,
+                    collection: str = "collection",
+                    per_family: bool = False,
+                    noncrossing: bool = False,
+                    include_undersampled: bool = True,
+                    exclusions: Mapping[str, int] | None = None,
+                    metadata: Mapping[str, object] | None = None) -> Report:
+    """Run every requested (level, direction) over each language's tally.
 
     The Holm correction is applied globally across all languages tested at a
     (level, direction), or within each family when ``per_family`` is set.
@@ -221,7 +286,7 @@ def analyze_collection(treebanks: Mapping[str, Sequence[LinearizedTree]],
     levels = list(levels) if levels else list(LevelSpec)
     directions = list(directions) if directions else list(Direction)
     families = dict(families) if families else {}
-    languages = sorted(treebanks)
+    languages = sorted(tallies)
     missing = [lang for lang in languages if lang not in families]
     if missing and families:
         logger.warning("no family for %d language(s): %s; using %r",
@@ -229,16 +294,16 @@ def analyze_collection(treebanks: Mapping[str, Sequence[LinearizedTree]],
     report = Report(collection=collection, alpha=alpha, summaries=[],
                     results=[], exclusions=dict(exclusions or {}),
                     metadata=dict(metadata or {}))
-    if not any(len(treebanks[lang]) > 0 for lang in languages):
+    if not any(tallies[lang].trees for lang in languages):
         return report
 
     for level in levels:
-        tallies = {lang: tally_level(treebanks[lang], level, lang)
-                   for lang in languages}
+        counts = {lang: tallies[lang].level_counts(level, lang)
+                  for lang in languages}
         for direction in directions:
-            pre = [run_tests(tallies[lang], direction, alpha, noncrossing,
+            pre = [run_tests(counts[lang], direction, alpha, noncrossing,
                              family=families.get(lang, UNKNOWN_FAMILY))
-                   for lang in languages if tallies[lang].m >= 1]
+                   for lang in languages if counts[lang].m >= 1]
             l0 = len(pre)
             l = sum(r.adequately_sampled for r in pre)
             f = sum(r.p_value <= alpha for r in pre)

@@ -9,18 +9,21 @@ single tree afterwards is excluded with a reason, never silently dropped.
 
 from __future__ import annotations
 
+import io
+import itertools
 import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .trees import LinearizedTree
 
-_INT_RE = re.compile(r"[0-9]+")
 _RANGE_RE = re.compile(r"([0-9]+)-[0-9]+")
 _DECIMAL_RE = re.compile(r"([0-9]+)\.[0-9]+")
 _N_COLUMNS = 10
+_BOM = "\ufeff"
 
 # loose tag patterns seen across annotation schemes (PTB ".", Prague "Z:...",
 # UD "PUNCT", assorted "Punc"/"PU" variants, or the character itself as tag)
@@ -42,8 +45,7 @@ class ExclusionReason(Enum):
     MALFORMED = "malformed"
 
 
-@dataclass(frozen=True)
-class RawToken:
+class RawToken(NamedTuple):
     id: int
     head: int
     form: str
@@ -64,9 +66,11 @@ class RawSentence:
 class ParseError:
     line_no: int
     message: str
+    source: str = ""
 
     def __str__(self):
-        return f"line {self.line_no}: {self.message}"
+        where = f"{self.source}: " if self.source else ""
+        return f"{where}line {self.line_no}: {self.message}"
 
 
 def _ud_punct(token: RawToken) -> bool:
@@ -118,53 +122,62 @@ class PreprocessConfig:
     empty_node_predicate: Callable[[RawToken], bool] | None = None
     remove_empty_nodes: bool = True
 
-    def is_punct(self, token: RawToken) -> bool:
-        pred = self.punct_predicate or _DEFAULT_PUNCT[self.scheme]
-        return pred(token)
-
-    def is_empty(self, token: RawToken) -> bool:
-        if token.is_empty_node:
-            return True
-        pred = self.empty_node_predicate or _DEFAULT_EMPTY[self.scheme]
-        return pred(token) if pred is not None else False
+    def predicates(self) -> tuple[Callable[[RawToken], bool],
+                                  Callable[[RawToken], bool] | None]:
+        """The (punctuation, non-word node) predicates in effect."""
+        return (self.punct_predicate or _DEFAULT_PUNCT[self.scheme],
+                self.empty_node_predicate or _DEFAULT_EMPTY[self.scheme])
 
 
-def _iter_lines(stream) -> Iterator[str]:
+def _decoded(lines: Iterable[bytes]) -> Iterator[str | None]:
+    for raw in lines:
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError:
+            yield None
+
+
+def _iter_lines(stream) -> Iterator[str | None]:
+    """The input's lines without a leading BOM; None for a line that is not
+    valid UTF-8. Lines read from a stream keep their line terminator."""
     if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        yield from stream.splitlines()
-        return
-    for line in stream:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        yield line.rstrip("\n").rstrip("\r")
+        stream = io.BytesIO(stream)
+    lines = iter(stream.splitlines() if isinstance(stream, str) else stream)
+    first = next(lines, None)
+    if first is None:
+        return iter(())
+    if isinstance(first, bytes):
+        lines = _decoded(lines)
+        first = next(_decoded([first]))
+    if first is not None and first.startswith(_BOM):
+        first = first[1:]
+    return itertools.chain([first], lines)
 
 
-def _parse_token_line(line: str, line_no: int) -> RawToken:
-    cols = line.split("\t")
+def _parse_token(cols: list[str]) -> RawToken:
+    """One token from a line's columns; ValueError names what is wrong."""
     if len(cols) != _N_COLUMNS:
         raise ValueError(f"expected {_N_COLUMNS} columns, got {len(cols)}")
-    idc, form, pos, head_c, deprel = cols[0], cols[1], cols[3], cols[6], cols[7]
-    if _RANGE_RE.fullmatch(idc):
-        first = int(idc.split("-", 1)[0])
-        return RawToken(id=first, head=0, form=form, pos=pos, deprel=deprel,
-                        is_range_token=True)
-    if _DECIMAL_RE.fullmatch(idc):
-        base = int(idc.split(".", 1)[0])
-        return RawToken(id=base, head=0, form=form, pos=pos, deprel=deprel,
-                        is_empty_node=True)
-    if not _INT_RE.fullmatch(idc):
+    idc = cols[0]
+    # isascii: str.isdigit also accepts non-ASCII digits, which int() reads
+    if not (idc.isdigit() and idc.isascii()):
+        if _RANGE_RE.fullmatch(idc):
+            return RawToken(int(idc.split("-", 1)[0]), 0, cols[1], cols[3],
+                            cols[7], is_range_token=True)
+        if _DECIMAL_RE.fullmatch(idc):
+            return RawToken(int(idc.split(".", 1)[0]), 0, cols[1], cols[3],
+                            cols[7], is_empty_node=True)
         raise ValueError(f"non-numeric token id {idc!r}")
     tid = int(idc)
     if tid < 1:
         raise ValueError(f"token id must be >= 1, got {tid}")
-    if not _INT_RE.fullmatch(head_c):
+    head_c = cols[6]
+    if not (head_c.isdigit() and head_c.isascii()):
         raise ValueError(f"non-numeric head {head_c!r}")
     head = int(head_c)
     if head == tid:
         raise ValueError(f"token {tid} is its own head")
-    return RawToken(id=tid, head=head, form=form, pos=pos, deprel=deprel)
+    return RawToken(tid, head, cols[1], cols[3], cols[7])
 
 
 def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
@@ -172,143 +185,161 @@ def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
     """Yield one RawSentence per blank-line-separated block.
 
     ``stream`` may be a text or binary file object, an iterable of lines, or
-    the file content itself. A malformed sentence is recorded in ``errors``
-    (one entry, naming the first offending line) and skipped; parsing
-    continues with the next sentence.
+    the file content itself (``str`` or ``bytes``); it is read line by line.
+    A leading UTF-8 byte order mark is ignored. A malformed sentence,
+    including one with a line that is not valid UTF-8, is recorded in
+    ``errors`` (one entry, naming ``treebank_id`` and the first offending
+    line) and skipped; parsing continues with the next sentence.
     """
     if fmt not in ("conllu", "conllx"):
         raise ValueError(f"unknown treebank format {fmt!r}")
     tokens: list[RawToken] = []
     sent_id: str | None = None
     bad: ParseError | None = None
+    last_id = 0          # last regular token id, for the increasing-id check
+    ordered = True
     ordinal = 0
 
     def flush():
-        nonlocal tokens, sent_id, bad, ordinal
-        if not tokens and bad is None:
-            sent_id = None
-            return None
-        ordinal += 1
+        nonlocal tokens, sent_id, bad, last_id, ordered, ordinal
         out = None
-        if bad is None:
-            regular = [t.id for t in tokens
-                       if not t.is_range_token and not t.is_empty_node]
-            if any(a >= b for a, b in zip(regular, regular[1:])):
-                bad = ParseError(line_no, "token ids not strictly increasing")
-            else:
+        if tokens or bad is not None:
+            ordinal += 1
+            if bad is None and not ordered:
+                bad = ParseError(line_no, "token ids not strictly increasing",
+                                 treebank_id)
+            if bad is None:
                 out = RawSentence(tokens=tokens,
                                   source_id=sent_id or str(ordinal),
                                   treebank_id=treebank_id)
-        if bad is not None and errors is not None:
-            errors.append(bad)
-        tokens = []
+            elif errors is not None:
+                errors.append(bad)
+            tokens = []
+            bad = None
+            last_id = 0
+            ordered = True
         sent_id = None
-        bad = None
         return out
 
     line_no = 0
     for line_no, line in enumerate(_iter_lines(stream), start=1):
-        if not line.strip():
+        if not line or line.isspace():
+            if line is None:            # not valid UTF-8
+                if bad is None:
+                    bad = ParseError(line_no, "invalid UTF-8", treebank_id)
+                continue
             sentence = flush()
             if sentence is not None:
                 yield sentence
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             if line[1:].split("=", 1)[0].strip() == "sent_id":
                 sent_id = line.split("=", 1)[1].strip()
             continue
         if bad is not None:
             continue
         try:
-            tokens.append(_parse_token_line(line, line_no))
+            token = _parse_token(line.split("\t"))
         except ValueError as exc:
-            bad = ParseError(line_no, str(exc))
+            bad = ParseError(line_no, str(exc), treebank_id)
+            continue
+        if not (token.is_range_token or token.is_empty_node):
+            if token.id <= last_id:
+                ordered = False
+            last_id = token.id
+        tokens.append(token)
     sentence = flush()
     if sentence is not None:
         yield sentence
 
 
-def preprocess(sentence: RawSentence,
-               cfg: PreprocessConfig = PreprocessConfig()
-               ) -> LinearizedTree | ExclusionReason:
-    """Clean one sentence into a tree, or say why it cannot be one.
+def clean_sentence(sentence: RawSentence,
+                   cfg: PreprocessConfig = PreprocessConfig()
+                   ) -> tuple[int, list[tuple[int, int]]] | ExclusionReason:
+    """Clean one sentence into ``(n, edges)``, or say why it cannot be a tree.
 
     Range lines are dropped; non-word nodes and punctuation are deleted;
     survivors whose head chain runs through deleted tokens are reattached to
     the nearest non-deleted ancestor (the root if there is none); survivors
-    are renumbered 1..n in surface order.
+    are renumbered 1..n in surface order, and ``edges`` holds one
+    (dependent, head) position pair per non-root survivor.
     """
     tokens = [t for t in sentence.tokens if not t.is_range_token]
     n_all = len(tokens)
     if n_all == 0:
         return ExclusionReason.EMPTY_AFTER_PREPROCESSING
 
-    by_id: dict[int, int] = {}
-    for i, t in enumerate(tokens):
-        if not t.is_empty_node:
-            if t.id in by_id:
-                return ExclusionReason.MALFORMED
-            by_id[t.id] = i
-    for i, t in enumerate(tokens):
-        by_id.setdefault(t.id, i)
-
-    deleted = [False] * n_all
-    for i, t in enumerate(tokens):
-        if cfg.is_empty(t):
-            deleted[i] = cfg.remove_empty_nodes
-        elif cfg.is_punct(t):
-            deleted[i] = True
-
-    head_idx = [-1] * n_all
-    for i, t in enumerate(tokens):
-        if t.head == 0:
-            continue
-        j = by_id.get(t.head)
-        if j is None:
+    by_id = {t.id: i for i, t in enumerate(tokens) if not t.is_empty_node}
+    has_empty = len(by_id) != n_all     # empty nodes or duplicate ids
+    if has_empty:
+        if len(by_id) != sum(not t.is_empty_node for t in tokens):
             return ExclusionReason.MALFORMED
-        head_idx[i] = j
+        for i, t in enumerate(tokens):
+            by_id.setdefault(t.id, i)
 
-    survivors = [i for i in range(n_all) if not deleted[i]]
+    is_punct, is_null = cfg.predicates()
+    if is_null is None and not has_empty:
+        deleted = list(map(is_punct, tokens))
+    else:
+        remove_empty = cfg.remove_empty_nodes
+        deleted = [remove_empty if t.is_empty_node
+                   or (is_null is not None and is_null(t)) else is_punct(t)
+                   for t in tokens]
+
+    get = by_id.get
+    head = [get(t.head, -2) if t.head else -1 for t in tokens]
+    if -2 in head:
+        return ExclusionReason.MALFORMED
+
+    survivors = [i for i, gone in enumerate(deleted) if not gone]
     if not survivors:
         return ExclusionReason.EMPTY_AFTER_PREPROCESSING
 
-    new_head: dict[int, int] = {}
+    # point each survivor's head at its nearest surviving ancestor; a walk
+    # through more than n_all deleted tokens runs in a cycle
     for i in survivors:
-        seen = set()
-        j = head_idx[i]
-        while j != -1 and deleted[j]:
-            if j in seen:
+        j, steps = head[i], 0
+        while j >= 0 and deleted[j]:
+            j = head[j]
+            steps += 1
+            if steps > n_all:
                 return ExclusionReason.CYCLE
-            seen.add(j)
-            j = head_idx[j]
-        new_head[i] = j
-
-    roots = [i for i in survivors if new_head[i] == -1]
-    if len(roots) > 1:
+        head[i] = j
+    if sum(head[i] == -1 for i in survivors) > 1:
         return ExclusionReason.MULTIPLE_ROOTS
 
-    safe: set[int] = set()
+    # every survivor's head chain must reach the root: a walk from a token
+    # not yet known to reach it, longer than n_all steps, runs in a cycle
+    # (as it must when no survivor is the root)
+    reaches_root = [False] * n_all
     for i in survivors:
-        path: list[int] = []
-        on_path: set[int] = set()
-        j = i
-        while j != -1 and j not in safe:
-            if j in on_path:
+        j, steps = i, 0
+        while j != -1 and not reaches_root[j]:
+            j = head[j]
+            steps += 1
+            if steps > n_all:
                 return ExclusionReason.CYCLE
-            on_path.add(j)
-            path.append(j)
-            j = new_head[j]
-        safe.update(path)
-    if not roots:
-        return ExclusionReason.CYCLE
+        j = i
+        while j != -1 and not reaches_root[j]:
+            reaches_root[j] = True
+            j = head[j]
 
-    position = {i: k + 1 for k, i in enumerate(survivors)}
-    edges = tuple((position[i], position[new_head[i]])
-                  for i in survivors if new_head[i] != -1)
-    try:
-        return LinearizedTree(n=len(survivors), edges=edges)
-    except ValueError:
-        return ExclusionReason.DISCONNECTED
+    position = [0] * n_all
+    for p, i in enumerate(survivors, start=1):
+        position[i] = p
+    return len(survivors), [(position[i], position[head[i]])
+                            for i in survivors if head[i] != -1]
+
+
+def preprocess(sentence: RawSentence,
+               cfg: PreprocessConfig = PreprocessConfig()
+               ) -> LinearizedTree | ExclusionReason:
+    """``clean_sentence`` as a ``LinearizedTree``, or the exclusion reason."""
+    result = clean_sentence(sentence, cfg)
+    if isinstance(result, ExclusionReason):
+        return result
+    n, edges = result
+    return LinearizedTree(n=n, edges=edges)
 
 
 def gather_files(paths: Iterable[str | Path]) -> list[Path]:

@@ -46,25 +46,24 @@ class LinearizedTree:
             raise ValueError(f"expected {n - 1} edges, got {len(norm)}")
         if len(set(norm)) != len(norm):
             raise ValueError("duplicate edge")
-        parent = list(range(n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        neighbours: list[list[int]] = [[] for _ in range(n + 1)]
         for u, v in norm:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) outside 1..{n}")
             if u == v:
                 raise ValueError("self-loop")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ValueError("cycle")
-            parent[ru] = rv
-        if n > 1 and len({find(v) for v in range(1, n + 1)}) != 1:
-            raise ValueError("disconnected")
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        # n - 1 distinct edges form a tree iff a walk from vertex 1 over
+        # them reaches every vertex
+        reached, stack = {1}, [1]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) != n:
+            raise ValueError("not a tree: disconnected, with a cycle")
 
     @property
     def degrees(self) -> list[int]:

@@ -149,7 +149,50 @@ class TestAnalyzeCommand:
         captured = capsysbinary.readouterr()
         doc = json.loads(captured.out)
         assert doc["exclusions"]["parse_error"] == 1
-        assert b"skipped sentence" in captured.err
+        path = tmp_path / "Alpha.conllu"
+        assert captured.err.decode().splitlines() == [
+            f"ddmtest: skipped sentence ({path}: line 6: "
+            "expected 10 columns, got 1)"]
+
+    def test_undecodable_block_skipped_rest_counted(self, tmp_path,
+                                                    capsysbinary):
+        path = tmp_path / "Alpha.conllu"
+        path.write_bytes(b"1\t\xff\t_\tX\t_\t_\t0\troot\t_\t_\n\n"
+                         + STAR_AT_END.encode())
+        code = main(["analyze", "--input", str(path), "--report", "json",
+                     "--levels", "n4_star", "--direction", "above"])
+        assert code == 0
+        captured = capsysbinary.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["exclusions"] == {"parse_error": 1}
+        (result,) = doc["results"]
+        assert result["m"] == 1
+        assert captured.err.decode() == (
+            f"ddmtest: skipped sentence ({path}: line 1: invalid UTF-8)\n")
+
+    def test_bom_prefixed_file_counts_first_block(self, tmp_path,
+                                                  capsysbinary):
+        (tmp_path / "Alpha.conllu").write_text("\ufeff" + STAR_AT_END,
+                                               encoding="utf-8")
+        code = main(["analyze", "--input", str(tmp_path), "--report", "json",
+                     "--levels", "n4_star", "--direction", "above"])
+        assert code == 0
+        captured = capsysbinary.readouterr()
+        assert captured.err == b""
+        (result,) = json.loads(captured.out)["results"]
+        assert result["m"] == 1
+
+    def test_only_longer_sentences_is_not_empty(self, tmp_path, capsysbinary):
+        five = "".join(f"{i}\tw\tw\tNOUN\t_\t_\t{i - 1}\tdep\t_\t_\n"
+                       for i in range(1, 6))
+        (tmp_path / "Alpha.conllu").write_text((five + "\n") * 3,
+                                               encoding="utf-8")
+        code = main(["analyze", "--input", str(tmp_path)])
+        assert code == 0
+        lines = capsysbinary.readouterr().out.decode().splitlines()
+        summaries = lines[1:]
+        assert len(summaries) == 12        # six levels, two directions
+        assert all(row.endswith(",0,0,0,0") for row in summaries)
 
     def test_noncrossing_diagnostic_changes_p(self, tmp_path, capsysbinary):
         write_corpus(tmp_path, ["Alpha"], sentence=CHAIN)

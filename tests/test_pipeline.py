@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import path_tree, star_tree
 from ddmtest import (
@@ -20,7 +22,7 @@ from ddmtest import (
     sum_of_distances,
     tally_level,
 )
-from ddmtest.pipeline import _neglog10
+from ddmtest.pipeline import LanguageTally, _neglog10, fold_trees
 
 N3_HIGH = LinearizedTree(3, [(1, 2), (1, 3)])     # D = 3
 N3_LOW = path_tree(3)                             # D = 2
@@ -103,6 +105,61 @@ class TestTallyLevel:
         with pytest.raises(ValueError):
             LevelCounts(language="x", level=LevelSpec.N3_ALL, m=3,
                         g_above=1, g_below=1, ties=0)
+
+
+@st.composite
+def shuffled_trees(draw):
+    """A tree with n = 3, 4 or 5 words in a random arrangement."""
+    n = draw(st.integers(3, 5))
+    parents = [draw(st.integers(1, i - 1)) for i in range(2, n + 1)]
+    place = draw(st.permutations(range(1, n + 1)))
+    return LinearizedTree(n, [(place[p - 1], place[i - 1])
+                              for i, p in zip(range(2, n + 1), parents)])
+
+
+def brute_force_counts(trees, level, language):
+    """One level's tally recounted directly: degrees, D and its mean."""
+    n = 3 if level is LevelSpec.N3_ALL else 4
+    counted = []
+    for tree in trees:
+        if tree.n != n:
+            continue
+        degree = [sum(v in edge for edge in tree.edges) for v in range(1, n + 1)]
+        star = max(degree) == n - 1
+        if level is LevelSpec.N4_STAR and not star:
+            continue
+        if level is LevelSpec.N4_LINEAR and star:
+            continue
+        counted.append((sum(abs(u - v) for u, v in tree.edges), star))
+    mean = Fraction(n * n - 1, 3)
+    m = len(counted)
+    above = sum(d > mean for d, _ in counted)
+    below = sum(d < mean for d, _ in counted)
+    p_star = None
+    if level is LevelSpec.N4_ALL_REAL and m:
+        p_star = Fraction(sum(star for _, star in counted), m)
+    return LevelCounts(language, level, m, above, below, m - above - below,
+                       p_star)
+
+
+class TestLanguageTally:
+    @given(st.lists(shuffled_trees(), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_six_levels_match_brute_force(self, trees):
+        tally = fold_trees(trees)
+        assert tally.trees == len(trees)
+        for level in LevelSpec:
+            assert (tally.level_counts(level, "xx")
+                    == brute_force_counts(trees, level, "xx"))
+
+    def test_edges_in_any_orientation(self):
+        tally = LanguageTally()
+        tally.add(4, [(2, 1), (3, 1), (1, 4)])      # star, hub first: D = 6
+        tally.add(4, [(4, 3), (1, 2), (3, 2)])      # path in order: D = 3
+        assert tally.level_counts(LevelSpec.N4_STAR) == LevelCounts(
+            "", LevelSpec.N4_STAR, 1, 1, 0, 0)
+        assert tally.level_counts(LevelSpec.N4_LINEAR) == LevelCounts(
+            "", LevelSpec.N4_LINEAR, 1, 0, 1, 0)
 
 
 class TestRunTests:

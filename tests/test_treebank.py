@@ -120,6 +120,59 @@ class TestParse:
         with pytest.raises(ValueError):
             list(parse_treebank("", fmt="tsv"))
 
+    @pytest.mark.parametrize("kind", ["file", "str", "bytes"])
+    def test_bom_prefixed_input_first_block_parses(self, kind, tmp_path):
+        text = "\ufeff" + conllu_line(1) + "\n\n" + conllu_line(1) + "\n"
+        p = tmp_path / "bom.conllu"
+        p.write_text(text, encoding="utf-8")
+        errors: list[ParseError] = []
+        if kind == "file":
+            with open(p, "rb") as fh:
+                sentences = list(parse_treebank(fh, errors=errors))
+        else:
+            data = text if kind == "str" else p.read_bytes()
+            sentences = list(parse_treebank(data, errors=errors))
+        assert errors == []
+        assert [s.tokens[0].id for s in sentences] == [1, 1]
+
+    def test_bom_only_stripped_at_start(self):
+        text = conllu_line(1) + "\n\n\ufeff" + conllu_line(1) + "\n"
+        errors: list[ParseError] = []
+        assert len(list(parse_treebank(text, errors=errors))) == 1
+        assert errors[0].line_no == 3
+
+    def test_invalid_utf8_line_is_one_parse_error(self):
+        data = (conllu_line(1).encode() + b"\n\n"
+                + conllu_line(1, form="\xff").encode("latin-1") + b"\n"
+                + b"2\t\xc3(\t_\tX\t_\t_\t1\tdep\t_\t_\n\n"
+                + conllu_line(1).encode() + b"\n")
+        errors: list[ParseError] = []
+        sentences = list(parse_treebank(io.BytesIO(data), errors=errors))
+        assert len(sentences) == 2
+        assert [(e.line_no, e.message) for e in errors] == [(3, "invalid UTF-8")]
+
+    def test_error_names_its_source(self):
+        errors: list[ParseError] = []
+        list(parse_treebank("junk\n", treebank_id="a/b.conllu", errors=errors))
+        assert errors == [ParseError(1, "expected 10 columns, got 1",
+                                     "a/b.conllu")]
+        assert str(errors[0]) == "a/b.conllu: line 1: expected 10 columns, got 1"
+        assert str(ParseError(4, "bad")) == "line 4: bad"
+
+    @pytest.mark.parametrize("idc", ["\u0661", "1_0", " 1", "+1", "\u00b2"])
+    def test_only_ascii_digits_are_ids(self, idc):
+        errors: list[ParseError] = []
+        text = conllu_line(idc) + "\n"
+        assert list(parse_treebank(text, errors=errors)) == []
+        assert errors[0].message == f"non-numeric token id {idc!r}"
+
+    @pytest.mark.parametrize("head", ["\u0661", "1_0", " 1", "-1"])
+    def test_only_ascii_digits_are_heads(self, head):
+        errors: list[ParseError] = []
+        text = conllu_line(1, head=head) + "\n"
+        assert list(parse_treebank(text, errors=errors)) == []
+        assert errors[0].message == f"non-numeric head {head!r}"
+
     def test_conllx_uses_coarse_pos_column(self):
         line = "1\tform\tlemma\tZ:\tZZ\t_\t0\tdep\t_\t_"
         (sent,) = parse_treebank(line, fmt="conllx")
@@ -291,6 +344,53 @@ class TestPreprocessProperties:
                      tok(4, 0), tok(5, 4))
         tree = preprocess(s)
         assert tree == LinearizedTree(3, [(1, 2), (2, 3)])
+
+
+def count_blocks(lines: list[bytes]) -> int:
+    """Blocks of an input, counted without the parser: runs of non-blank
+    lines holding a line that is not a comment (an undecodable line counts)."""
+    blocks, in_block = 0, False
+    for k, raw in enumerate(lines):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            text = None
+        if text is not None:
+            if k == 0:
+                text = text.removeprefix("\ufeff")
+            if not text.strip():
+                in_block = False
+                continue
+            if text.startswith("#"):
+                continue
+        if not in_block:
+            blocks += 1
+            in_block = True
+    return blocks
+
+
+token_lines = st.builds(
+    lambda i, head, pos: conllu_line(i, pos=pos, head=head).encode(),
+    st.integers(0, 9), st.integers(0, 9), st.sampled_from(["X", "PUNCT"]))
+noise_lines = st.binary(max_size=30).map(lambda b: b.replace(b"\n", b""))
+input_lines = st.lists(st.one_of(
+    token_lines, token_lines, st.just(b""), st.just(b"# sent_id = s"),
+    st.just(b"1-2\t_\t_\t_\t_\t_\t_\t_\t_\t_"), noise_lines), max_size=40)
+
+
+class TestTotality:
+    @given(input_lines, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_every_block_has_one_fate(self, lines, bom):
+        if bom and lines:
+            lines = [b"\xef\xbb\xbf" + lines[0]] + lines[1:]
+        errors: list[ParseError] = []
+        sentences = list(parse_treebank(b"\n".join(lines), errors=errors))
+        fates = [preprocess(s) for s in sentences]
+        trees = sum(isinstance(f, LinearizedTree) for f in fates)
+        exclusions = sum(isinstance(f, ExclusionReason) for f in fates)
+        assert trees + exclusions == len(sentences)
+        assert count_blocks(lines) == trees + exclusions + len(errors)
 
 
 class TestFixtureFile:
