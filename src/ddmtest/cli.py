@@ -2,15 +2,23 @@
 
 Reads treebank files (or stdin) in one streaming pass that folds each
 cleaned sentence into its language's tally, then runs the six-level
-analysis and writes the report. Exit codes: 0 success, 1 argument/format
-error, 2 empty collection (nothing survived preprocessing).
+analysis and writes the report. Files are folded on a pool of forked
+workers, one per usable CPU up to one per file and at most eight, and
+merged in file order, so the report and stderr do not depend on the
+worker count. With one file or one usable CPU, in a process that runs
+other threads, or where the platform cannot fork, the files are folded
+in-process. Stderr shows at most 20 parse errors per input, then a count
+of the rest. Exit codes: 0 success, 1 argument/format error, 2 empty
+collection (nothing survived preprocessing).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +28,8 @@ from .pipeline import LevelSpec
 from .treebank import ExclusionReason, ParseError, PreprocessConfig, Scheme
 
 _UD_DIR_RE = re.compile(r"UD_([A-Za-z_]+?)(?:-|$)")
+MAX_ERRORS_SHOWN = 20   # parse errors printed per input; the rest are counted
+MAX_WORKERS = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,35 +111,106 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fold_stream(stream, fmt: str, cfg: PreprocessConfig, tag: str):
+    """Fold one input's sentences into a tally, one at a time.
+
+    Returns the tally, the exclusion counts (parse errors under
+    ``"parse_error"``) and the stderr lines that report the parse errors:
+    the first ``MAX_ERRORS_SHOWN``, then one line counting the rest.
+    """
+    tally = pipeline.LanguageTally()
+    exclusions: Counter[str] = Counter()
+    errors: list[ParseError] = []
+    for sentence in treebank.parse_treebank(stream, fmt, treebank_id=tag,
+                                            errors=errors):
+        result = treebank.clean_sentence(sentence, cfg)
+        if isinstance(result, ExclusionReason):
+            exclusions[result.value] += 1
+        else:
+            tally.add(*result)
+    if errors:
+        exclusions["parse_error"] += len(errors)
+    shown = [f"ddmtest: skipped sentence ({err})"
+             for err in errors[:MAX_ERRORS_SHOWN]]
+    if len(errors) > MAX_ERRORS_SHOWN:
+        shown.append(f"ddmtest: {tag}: {len(errors) - MAX_ERRORS_SHOWN} "
+                     "more skipped sentences not shown")
+    return tally, exclusions, shown
+
+
+def _fold_file(path: Path, fmt: str, cfg: PreprocessConfig):
+    """``_fold_stream`` over one file; runs in a worker process."""
+    with open(path, "rb") as fh:
+        return _fold_stream(fh, fmt, cfg, str(path))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fold_files(paths: list[Path], fmt: str, cfg: PreprocessConfig):
+    """Yield each path with its ``_fold_file``, in the order of ``paths``.
+
+    The files are folded on a pool of forked workers, largest file first,
+    when there are several files and CPUs. The pool forks: the workers
+    inherit the imported package instead of importing it again. A process
+    with other threads must not fork, so it folds in-process, as it does
+    where the platform cannot fork.
+    """
+    workers = min(_usable_cpus(), len(paths), MAX_WORKERS)
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            def size(path):
+                try:
+                    return path.stat().st_size
+                except OSError:         # the worker reports it in order
+                    return 0
+
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                futures = [None] * len(paths)
+                for i in sorted(range(len(paths)),
+                                key=lambda i: size(paths[i]), reverse=True):
+                    futures[i] = pool.submit(_fold_file, paths[i], fmt, cfg)
+                for path, future in zip(paths, futures):
+                    yield path, future.result()
+            finally:
+                # after a failed file, fold no more than the running ones
+                pool.shutdown(cancel_futures=True)
+            return
+    for path in paths:
+        yield path, _fold_file(path, fmt, cfg)
+
+
 def _load_inputs(args, cfg: PreprocessConfig):
-    """Fold every input sentence into its language's tally, one at a time."""
+    """Fold every input into its language's tally, printing parse errors.
+
+    Files are merged in ``gather_files`` order and stdin after them, so the
+    report and stderr do not depend on how many workers folded the files.
+    """
     tallies: dict[str, pipeline.LanguageTally] = {}
     exclusions: Counter[str] = Counter()
 
-    def consume(stream, language: str, tag: str):
-        tally = tallies.setdefault(language, pipeline.LanguageTally())
-        errors: list[ParseError] = []
-        for sentence in treebank.parse_treebank(stream, args.format,
-                                                treebank_id=tag,
-                                                errors=errors):
-            result = treebank.clean_sentence(sentence, cfg)
-            if isinstance(result, ExclusionReason):
-                exclusions[result.value] += 1
-            else:
-                tally.add(*result)
-        if errors:
-            exclusions["parse_error"] += len(errors)
-            for err in errors:
-                print(f"ddmtest: skipped sentence ({err})", file=sys.stderr)
+    def merge(language: str, folded) -> None:
+        tally, excluded, shown = folded
+        tallies.setdefault(language, pipeline.LanguageTally()).merge(tally)
+        exclusions.update(excluded)
+        for line in shown:
+            print(line, file=sys.stderr)
 
-    stdin_requested = [p for p in args.input if p == "-"]
-    file_paths = treebank.gather_files(p for p in args.input if p != "-")
-    for path in file_paths:
-        language = args.language or infer_language(path)
-        with open(path, "rb") as fh:
-            consume(fh, language, str(path))
-    if stdin_requested:
-        consume(sys.stdin.buffer, args.language or "stdin", "<stdin>")
+    paths = treebank.gather_files(p for p in args.input if p != "-")
+    for path, folded in _fold_files(paths, args.format, cfg):
+        merge(args.language or infer_language(path), folded)
+    if "-" in args.input:
+        merge(args.language or "stdin",
+              _fold_stream(sys.stdin.buffer, args.format, cfg, "<stdin>"))
     return tallies, dict(exclusions)
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import kernels
 from .trees import DistanceDistribution, LinearizedTree, TreeShape
+
+# numpy is imported only by the samplers, for the reason given in trees.py
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Direction(Enum):
@@ -132,6 +134,8 @@ def sample_random_arrangement(tree: LinearizedTree,
     Accepts a seed or a ``numpy.random.Generator``; passing the same seed
     always yields the same arrangement.
     """
+    import numpy as np
+
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     perm = rng.permutation(tree.n)  # perm[v-1] + 1 is the new position of v
     edges = tuple((int(perm[u - 1]) + 1, int(perm[v - 1]) + 1) for u, v in tree.edges)
@@ -141,6 +145,10 @@ def sample_random_arrangement(tree: LinearizedTree,
 def sample_distance_sums(tree: LinearizedTree, size: int,
                          seed: int | np.random.Generator) -> np.ndarray:
     """D values of ``size`` independent uniform random arrangements (batched)."""
+    import numpy as np
+
+    from . import kernels
+
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     eu, ev = tree.edge_arrays()
     return kernels.sample_distance_sums(eu, ev, tree.n, size, rng)

@@ -154,6 +154,11 @@ class LanguageTally:
         diff = d * den - num
         self.cells[n, shape, (diff > 0) - (diff < 0)] += 1
 
+    def merge(self, other: LanguageTally) -> None:
+        """Fold in another tally of the same language."""
+        self.cells.update(other.cells)
+        self.trees += other.trees
+
     def level_counts(self, level: LevelSpec, language: str = "") -> LevelCounts:
         """The tally of one level, as ``tally_level`` gives it."""
         n = level.sentence_length

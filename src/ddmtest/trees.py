@@ -10,10 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import kernels
+# numpy and the kernels are imported inside the functions that use them:
+# the analysis never enumerates, and importing numpy would double the
+# command line's start-up time.
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATION_CAP = 10
 
@@ -79,6 +82,8 @@ class LinearizedTree:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based endpoint arrays for the kernels."""
+        import numpy as np
+
         if not self.edges:
             return np.empty(0, np.int64), np.empty(0, np.int64)
         arr = np.asarray(self.edges, np.int64) - 1
@@ -164,6 +169,8 @@ def enumerate_arrangements(tree: LinearizedTree,
         raise EnumerationCapError(
             f"n={tree.n} exceeds the enumeration cap ({cap}); "
             "use Monte Carlo sampling for larger trees")
+    from . import kernels
+
     eu, ev = tree.edge_arrays()
     hist = kernels.distance_histogram(eu, ev, tree.n, restrict_noncrossing)
     counts = {int(d): int(c) for d, c in enumerate(hist) if c}

@@ -1,7 +1,15 @@
+import concurrent.futures
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import ddmtest
+from ddmtest import cli
 from ddmtest.cli import infer_language, main
 
 STAR_AT_END = """\
@@ -28,6 +36,20 @@ CHAIN = """\
 PUNCT_ONLY = """\
 1	!	!	PUNCT	_	_	0	root	_	_
 """
+
+CYCLE = """\
+1	a	a	NOUN	_	_	2	dep	_	_
+2	b	b	NOUN	_	_	3	dep	_	_
+3	c	c	VERB	_	_	1	root	_	_
+"""
+
+THREE = """\
+1	a	a	NOUN	_	_	2	dep	_	_
+2	V	v	VERB	_	_	0	root	_	_
+3	b	b	NOUN	_	_	2	dep	_	_
+"""
+
+BROKEN = "broken line\n"
 
 
 def write_corpus(tmp_path, languages, sentence=STAR_AT_END, copies=30):
@@ -154,6 +176,20 @@ class TestAnalyzeCommand:
             f"ddmtest: skipped sentence ({path}: line 6: "
             "expected 10 columns, got 1)"]
 
+    def test_parse_errors_capped_per_file(self, tmp_path, capsysbinary):
+        path = tmp_path / "Alpha.conllu"
+        path.write_text(STAR_AT_END + "\n" + (BROKEN + "\n") * 23,
+                        encoding="utf-8")
+        code = main(["analyze", "--input", str(path), "--report", "json"])
+        assert code == 0
+        captured = capsysbinary.readouterr()
+        assert json.loads(captured.out)["exclusions"] == {"parse_error": 23}
+        assert captured.err.decode().splitlines() == [
+            f"ddmtest: skipped sentence ({path}: line {line}: "
+            "expected 10 columns, got 1)"
+            for line in range(6, 46, 2)] + [
+            f"ddmtest: {path}: 3 more skipped sentences not shown"]
+
     def test_undecodable_block_skipped_rest_counted(self, tmp_path,
                                                     capsysbinary):
         path = tmp_path / "Alpha.conllu"
@@ -214,3 +250,100 @@ class TestAnalyzeCommand:
         (result,) = doc["results"]
         assert result["language"] == "Alpha"
         assert result["m"] == 10
+
+
+def _write_mixed_collection(tmp_path):
+    """Three files, two languages, parse errors and exclusions in each."""
+    blocks = {
+        "Alpha-test.conllu": [STAR_CENTRAL] * 4 + [THREE, PUNCT_ONLY]
+        + [BROKEN] * 21,
+        "Alpha-train.conllu": [STAR_AT_END] * 12 + [CHAIN] * 9
+        + [PUNCT_ONLY, BROKEN, CYCLE, BROKEN],
+        "Beta.conllu": [CHAIN] * 6 + [CYCLE, STAR_AT_END, BROKEN, THREE]
+        + [PUNCT_ONLY] * 2,
+    }
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, parts in blocks.items():
+        (data / name).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    return data, [data / name for name in sorted(blocks)]
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Worker counts of the pools the CLI opens."""
+        opened = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        class SpyPool(real):
+            def __init__(self, workers, **kwargs):
+                opened.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SpyPool)
+        return opened
+
+    @staticmethod
+    def run(monkeypatch, capsysbinary, argv, cpus, stdin=b""):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+        code = main(argv)
+        captured = capsysbinary.readouterr()
+        return code, captured.out, captured.err
+
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch,
+                                                 capsysbinary, pools):
+        data, files = _write_mixed_collection(tmp_path)
+        stdin = "\n".join([STAR_AT_END, BROKEN, CHAIN, PUNCT_ONLY]).encode()
+        inputs = [["--input", str(data)],
+                  ["--input", str(data), "--language", "Omni"],
+                  ["--input", *map(str, files), "-"]]
+        runs = 0
+        for flags in inputs:
+            for report in ("csv", "json", "markdown"):
+                argv = ["analyze", *flags, "--report", report]
+                alone = self.run(monkeypatch, capsysbinary, argv, 1, stdin)
+                pooled = self.run(monkeypatch, capsysbinary, argv, 3, stdin)
+                runs += 1
+                assert alone[0] == 0
+                assert pooled == alone
+                assert b"more skipped sentences not shown" in alone[2]
+        assert pools == [3] * runs
+        doc = json.loads(self.run(monkeypatch, capsysbinary,
+                                  ["analyze", "--input", str(data),
+                                   "--report", "json"], 3)[1])
+        assert doc["exclusions"] == {"empty_after_preprocessing": 4,
+                                     "parse_error": 24, "cycle": 2}
+        assert {r["language"] for r in doc["results"]} == {"Alpha", "Beta"}
+
+    def test_worker_failure_reports_in_process_error(self, tmp_path,
+                                                     monkeypatch,
+                                                     capsysbinary, pools):
+        _, files = _write_mixed_collection(tmp_path)
+        missing = tmp_path / "Gone.conllu"
+        monkeypatch.setattr(cli.treebank, "gather_files",
+                            lambda paths: [files[1], missing, files[2]])
+        argv = ["analyze", "--input", str(tmp_path)]
+        alone = self.run(monkeypatch, capsysbinary, argv, 1)
+        pooled = self.run(monkeypatch, capsysbinary, argv, 3)
+        assert pools == [3]
+        assert pooled == alone
+        code, out, err = pooled
+        assert code == 1 and out == b""
+        lines = err.decode().splitlines()
+        assert lines[0].startswith(f"ddmtest: skipped sentence ({files[1]}: ")
+        assert lines[-1] == ("ddmtest: error: [Errno 2] No such file or "
+                             f"directory: '{missing}'")
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    src = Path(ddmtest.__file__).resolve().parents[1]
+    code = ("import sys, ddmtest.cli as c; c.build_parser(); "
+            "print(sorted(m for m in ('numpy', 'multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.stdout == "[]\n"
