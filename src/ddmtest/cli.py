@@ -98,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     an.add_argument("--report", choices=["csv", "markdown", "json"],
                     default="csv")
-    an.add_argument("--seed", type=int, default=0,
-                    help="recorded in the report metadata; the analysis "
-                         "itself is deterministic")
     an.add_argument("--scheme", choices=[s.value for s in Scheme],
                     help="annotation scheme for punctuation/null-node "
                          "detection (default: ud for conllu, generic for "
@@ -250,7 +247,7 @@ def _run_analyze(args) -> int:
         noncrossing=args.noncrossing_diagnostic,
         include_undersampled=not args.exclude_undersampled,
         exclusions=exclusions,
-        metadata={"seed": args.seed, "format": args.format,
+        metadata={"format": args.format,
                   "scheme": scheme.value,
                   "noncrossing_diagnostic": args.noncrossing_diagnostic,
                   "per_family": args.per_family})

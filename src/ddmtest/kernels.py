@@ -1,112 +1,22 @@
 """Permutation kernels behind the exact arrangement distributions.
 
 Walking all n! linear arrangements of a tree is the one hot loop in this
-package; everything else is counting and closed-form arithmetic. The walk is
-compiled with numba when available. Setting the environment variable
-``DDMTEST_NO_NUMBA=1`` (or having no numba installed) selects a vectorized
-numpy fallback that produces bit-identical histograms, just slower for
-n >= 8. ``benchmarks/bench_enumeration.py`` compares the two backends.
+package; everything else is counting and closed-form arithmetic. The walk
+feeds ``itertools.permutations`` to numpy in chunks and sums the edge
+distances of a whole chunk at once. It only cross-checks the closed-form
+null probabilities, which ``ddmtest analyze`` uses without enumerating.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
-
-_ENV_FLAG = "DDMTEST_NO_NUMBA"
-
-try:
-    if os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes"}:
-        raise ImportError(f"{_ENV_FLAG} set")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover - exercised via the env flag
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
 
 
 def _max_distance_sum(n: int) -> int:
     # loose bound: n-1 edges, each of distance at most n-1
-    return (n - 1) * (n - 1) if n > 1 else 0
-
-
-@njit(cache=True)
-def _histogram_loop(eu, ev, n, noncrossing, hist):  # pragma: no cover - jitted
-    # Heap's algorithm: visits every permutation of pos with one swap each.
-    # pos[v] is the (0-based) position assigned to vertex v.
-    e = eu.shape[0]
-    pos = np.empty(n, np.int64)
-    for v in range(n):
-        pos[v] = v
-    counters = np.zeros(n, np.int64)
-    lo = np.empty(e, np.int64)
-    hi = np.empty(e, np.int64)
-
-    def _tally(pos):
-        d = 0
-        for k in range(e):
-            a = pos[eu[k]]
-            b = pos[ev[k]]
-            if a < b:
-                lo[k] = a
-                hi[k] = b
-                d += b - a
-            else:
-                lo[k] = b
-                hi[k] = a
-                d += a - b
-        if noncrossing:
-            for i in range(e):
-                for j in range(i + 1, e):
-                    if lo[i] < lo[j]:
-                        if lo[j] < hi[i] and hi[i] < hi[j]:
-                            return
-                    elif lo[j] < lo[i]:
-                        if lo[i] < hi[j] and hi[j] < hi[i]:
-                            return
-        hist[d] += 1
-
-    _tally(pos)
-    i = 0
-    while i < n:
-        if counters[i] < i:
-            if i % 2 == 0:
-                t = pos[0]
-                pos[0] = pos[i]
-                pos[i] = t
-            else:
-                t = pos[counters[i]]
-                pos[counters[i]] = pos[i]
-                pos[i] = t
-            _tally(pos)
-            counters[i] += 1
-            i = 0
-        else:
-            counters[i] = 0
-            i += 1
-
-
-def distance_histogram_numba(eu: np.ndarray, ev: np.ndarray, n: int,
-                             noncrossing: bool = False) -> np.ndarray:
-    """Exact histogram of the distance sum over all n! arrangements (jitted)."""
-    if not NUMBA_ENABLED:
-        raise RuntimeError("numba backend unavailable (not installed or "
-                           f"{_ENV_FLAG} set)")
-    hist = np.zeros(_max_distance_sum(n) + 1, np.int64)
-    _histogram_loop(np.asarray(eu, np.int64), np.asarray(ev, np.int64),
-                    n, noncrossing, hist)
-    return hist
+    return (n - 1) * (n - 1)
 
 
 def _crossing_mask(posmat: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -120,16 +30,20 @@ def _crossing_mask(posmat: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.nda
     return mask
 
 
-def distance_histogram_numpy(eu: np.ndarray, ev: np.ndarray, n: int,
-                             noncrossing: bool = False,
-                             chunk: int = 100_000) -> np.ndarray:
-    """Same histogram via chunked itertools + vectorized numpy."""
+def distance_histogram(eu: np.ndarray, ev: np.ndarray, n: int,
+                       noncrossing: bool = False,
+                       chunk: int = 100_000) -> np.ndarray:
+    """Exact histogram of the distance sum over all n! arrangements.
+
+    ``eu``/``ev`` are 0-based edge endpoints. With ``noncrossing`` only
+    crossing-free arrangements are counted.
+    """
     eu = np.asarray(eu, np.int64)
     ev = np.asarray(ev, np.int64)
     maxd = _max_distance_sum(n)
     hist = np.zeros(maxd + 1, np.int64)
     perms = itertools.permutations(range(n))
-    row = np.dtype((np.int64, (n,))) if n > 1 else np.dtype((np.int64, (1,)))
+    row = np.dtype((np.int64, (n,)))
     while True:
         batch = np.fromiter(itertools.islice(perms, chunk), dtype=row, count=-1)
         if batch.size == 0:
@@ -144,21 +58,13 @@ def distance_histogram_numpy(eu: np.ndarray, ev: np.ndarray, n: int,
     return hist
 
 
-def distance_histogram(eu: np.ndarray, ev: np.ndarray, n: int,
-                       noncrossing: bool = False) -> np.ndarray:
-    """Dispatch to the numba backend when enabled, else the numpy fallback."""
-    if NUMBA_ENABLED:
-        return distance_histogram_numba(eu, ev, n, noncrossing)
-    return distance_histogram_numpy(eu, ev, n, noncrossing)
-
-
 def sample_distance_sums(eu: np.ndarray, ev: np.ndarray, n: int, size: int,
                          rng: np.random.Generator,
                          chunk: int = 250_000) -> np.ndarray:
     """Distance sums of ``size`` independent uniform arrangements.
 
-    Row-wise Fisher-Yates shuffles via ``Generator.permuted``; already fully
-    vectorized, so this path is shared by both backends.
+    Row-wise Fisher-Yates shuffles via ``Generator.permuted``, one chunk of
+    arrangements at a time.
     """
     eu = np.asarray(eu, np.int64)
     ev = np.asarray(ev, np.int64)

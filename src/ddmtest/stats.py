@@ -9,6 +9,7 @@ thousands); an exact big-integer oracle is shipped alongside for testing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -131,6 +132,19 @@ def binomial_upper_tail_exact(g: int, m: int, p: Fraction) -> Fraction:
     return Fraction(total, den ** m)
 
 
+def _holm_step_down(raw: Sequence[float], floor: float,
+                    scale: Callable[[int, float], float]) -> list[float]:
+    """Holm's step-down on any monotone p-value scale: in ascending order, the
+    running maximum from ``floor`` of scale(count - rank, x), in input order."""
+    lam = len(raw)
+    adjusted = [0.0] * lam
+    running = floor
+    for rank, idx in enumerate(sorted(range(lam), key=raw.__getitem__)):
+        running = max(running, scale(lam - rank, raw[idx]))
+        adjusted[idx] = running
+    return adjusted
+
+
 def holm_adjust(raw, alpha: float = 0.05) -> AdjustedPValues:
     """Holm step-down adjustment, valid without independence assumptions.
 
@@ -144,13 +158,7 @@ def holm_adjust(raw, alpha: float = 0.05) -> AdjustedPValues:
     for x in raw:
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"p-value {x} outside [0, 1]")
-    lam = len(raw)
-    order = sorted(range(lam), key=raw.__getitem__)
-    adjusted = [0.0] * lam
-    running = 0.0
-    for rank, idx in enumerate(order):
-        running = max(running, min(1.0, (lam - rank) * raw[idx]))
-        adjusted[idx] = running
+    adjusted = _holm_step_down(raw, 0.0, lambda k, x: min(1.0, k * x))
     return AdjustedPValues(
         raw=raw,
         adjusted=tuple(adjusted),
@@ -166,14 +174,9 @@ def holm_adjust_log10(raw_log10, alpha: float = 0.05) -> tuple[list[float], list
     raw_log10 = [float(x) for x in raw_log10]
     if not raw_log10:
         raise ValueError("need at least one p-value")
-    lam = len(raw_log10)
     log_alpha = math.log10(alpha)
-    order = sorted(range(lam), key=raw_log10.__getitem__)
-    adjusted = [0.0] * lam
-    running = -math.inf
-    for rank, idx in enumerate(order):
-        running = max(running, min(0.0, math.log10(lam - rank) + raw_log10[idx]))
-        adjusted[idx] = running
+    adjusted = _holm_step_down(raw_log10, -math.inf,
+                               lambda k, x: min(0.0, math.log10(k) + x))
     return adjusted, [a <= log_alpha for a in adjusted]
 
 

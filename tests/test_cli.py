@@ -103,12 +103,10 @@ class TestAnalyzeCommand:
         fam.write_text("Alpha\tGreekish\n# note\nBeta\tGreekish\n",
                        encoding="utf-8")
         code = main(["analyze", "--input", str(tmp_path),
-                     "--families", str(fam), "--report", "json",
-                     "--seed", "9"])
+                     "--families", str(fam), "--report", "json"])
         assert code == 0
         doc = json.loads(capsysbinary.readouterr().out)
         assert {r["family"] for r in doc["results"]} == {"Greekish"}
-        assert doc["metadata"]["seed"] == 9
 
     def test_empty_collection_exit_2(self, tmp_path, capsysbinary):
         p = tmp_path / "Empty.conllu"

@@ -1,60 +1,28 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from conftest import caterpillar_tree, path_tree, star_tree
+from conftest import brute_force_distribution, caterpillar_tree, path_tree, star_tree
 from ddmtest import kernels
 
-needs_numba = pytest.mark.skipif(not kernels.NUMBA_ENABLED,
-                                 reason="numba backend disabled")
 
-
-@needs_numba
 @pytest.mark.parametrize("noncrossing", [False, True])
 @pytest.mark.parametrize("maker,n", [
     (path_tree, 3), (path_tree, 5), (path_tree, 7),
     (star_tree, 4), (star_tree, 6),
     (caterpillar_tree, 5), (caterpillar_tree, 7),
 ])
-def test_backends_bit_identical(maker, n, noncrossing):
-    eu, ev = maker(n).edge_arrays()
-    a = kernels.distance_histogram_numba(eu, ev, n, noncrossing)
-    b = kernels.distance_histogram_numpy(eu, ev, n, noncrossing)
-    assert np.array_equal(a, b)
-
-
-def test_dispatcher_matches_numpy_path():
-    eu, ev = star_tree(5).edge_arrays()
-    assert np.array_equal(kernels.distance_histogram(eu, ev, 5),
-                          kernels.distance_histogram_numpy(eu, ev, 5))
+def test_histogram_matches_brute_force(maker, n, noncrossing):
+    tree = maker(n)
+    eu, ev = tree.edge_arrays()
+    hist = kernels.distance_histogram(eu, ev, n, noncrossing)
+    expected = brute_force_distribution(tree, noncrossing)
+    assert {d: int(c) for d, c in enumerate(hist) if c} == dict(expected)
 
 
 def test_single_vertex_histogram():
     eu = np.empty(0, np.int64)
-    hist = kernels.distance_histogram_numpy(eu, eu, 1)
+    hist = kernels.distance_histogram(eu, eu, 1)
     assert hist.tolist() == [1]
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, DDMTEST_NO_NUMBA="1")
-    code = ("from ddmtest import kernels\n"
-            "assert not kernels.NUMBA_ENABLED\n"
-            "from ddmtest import enumerate_arrangements, LinearizedTree\n"
-            "d = enumerate_arrangements(LinearizedTree(3, [(1,2),(2,3)]))\n"
-            "assert d.counts == {2: 2, 3: 4}\n")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-def test_numba_backend_refuses_when_disabled(monkeypatch):
-    monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
-    eu, ev = path_tree(3).edge_arrays()
-    with pytest.raises(RuntimeError):
-        kernels.distance_histogram_numba(eu, ev, 3)
-    # dispatcher silently falls back
-    assert kernels.distance_histogram(eu, ev, 3).sum() == 6
 
 
 class TestSampleDistanceSums:
