@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -107,44 +106,38 @@ class Report:
 # (numerator, denominator) of the random-arrangement mean of D, per counted n
 _MEAN_D = {n: expected_d_random_arrangement(n).as_integer_ratio()
            for n in (3, 4)}
-_SIGNS = (1, -1, 0)                       # above, below, tie
-_LEVEL_SHAPES = {
-    LevelSpec.N3_ALL: (TreeShape.BOTH,),
-    LevelSpec.N4_ALL_REAL: (TreeShape.STAR, TreeShape.LINEAR),
-    LevelSpec.N4_UNLABELLED: (TreeShape.STAR, TreeShape.LINEAR),
-    LevelSpec.N4_LABELLED: (TreeShape.STAR, TreeShape.LINEAR),
-    LevelSpec.N4_STAR: (TreeShape.STAR,),
-    LevelSpec.N4_LINEAR: (TreeShape.LINEAR,),
+# the rows of LanguageTally.cells each level adds up
+_LEVEL_ROWS = {
+    LevelSpec.N3_ALL: (0,),
+    LevelSpec.N4_ALL_REAL: (1, 2),
+    LevelSpec.N4_UNLABELLED: (1, 2),
+    LevelSpec.N4_LABELLED: (1, 2),
+    LevelSpec.N4_STAR: (1,),
+    LevelSpec.N4_LINEAR: (2,),
 }
-
-
-def _n4_shape(edges) -> TreeShape:
-    """Star if the three edges share a vertex, else a path."""
-    (a, b), e2, e3 = edges
-    if (a in e2 and a in e3) or (b in e2 and b in e3):
-        return TreeShape.STAR
-    return TreeShape.LINEAR
 
 
 class LanguageTally:
     """One language's trees, reduced to what the six levels need.
 
-    ``cells`` counts the n = 3 and n = 4 trees by (n, shape, sign), where
-    sign is 1, -1 or 0 as D lies above, below or on its random-arrangement
-    mean; ``trees`` counts every tree, of any length.
+    ``cells`` is a flat list of nine counts, row by row: the n = 3 trees, the
+    n = 4 stars and the n = 4 paths, each split into the trees whose D lies
+    above, below and on its random-arrangement mean (columns 0, 1 and 2).
+    ``trees`` counts every tree, of any length.
     """
 
     def __init__(self):
-        self.cells: Counter[tuple[int, TreeShape, int]] = Counter()
+        self.cells = [0] * 9
         self.trees = 0
 
     def add(self, n: int, edges) -> None:
         """Fold in one tree on positions 1..n with the given edges."""
         self.trees += 1
         if n == 3:
-            shape = TreeShape.BOTH
+            row = 0
         elif n == 4:
-            shape = _n4_shape(edges)
+            (a, b), e2, e3 = edges        # a star's three edges share a vertex
+            row = 1 if (a in e2 and a in e3) or (b in e2 and b in e3) else 2
         else:
             return
         d = 0
@@ -152,24 +145,23 @@ class LanguageTally:
             d += abs(u - v)
         num, den = _MEAN_D[n]
         diff = d * den - num
-        self.cells[n, shape, (diff > 0) - (diff < 0)] += 1
+        self.cells[3 * row + (0 if diff > 0 else 1 if diff < 0 else 2)] += 1
 
     def merge(self, other: LanguageTally) -> None:
         """Fold in another tally of the same language."""
-        self.cells.update(other.cells)
+        self.cells = [x + y for x, y in zip(self.cells, other.cells)]
         self.trees += other.trees
 
     def level_counts(self, level: LevelSpec, language: str = "") -> LevelCounts:
         """The tally of one level, as ``tally_level`` gives it."""
-        n = level.sentence_length
-        above, below, ties = (
-            sum(self.cells[n, shape, sign] for shape in _LEVEL_SHAPES[level])
-            for sign in _SIGNS)
+        cells = self.cells
+        rows = _LEVEL_ROWS[level]
+        above, below, ties = (sum(cells[3 * row + col] for row in rows)
+                              for col in range(3))
         m = above + below + ties
         p_star = None
         if level is LevelSpec.N4_ALL_REAL and m > 0:
-            stars = sum(self.cells[4, TreeShape.STAR, sign] for sign in _SIGNS)
-            p_star = Fraction(stars, m)
+            p_star = Fraction(sum(cells[3:6]), m)
         return LevelCounts(language=language, level=level, m=m, g_above=above,
                            g_below=below, ties=ties, p_star_real=p_star)
 

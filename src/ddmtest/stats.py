@@ -12,10 +12,10 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 _LOG_STOP = math.log(1e-18)  # geometric remainder below this of the sum: stop
 _EXACT_COMB_LIMIT = 1024  # up to here, log C(m,f) comes from the exact integer
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a double into halves
 
 
 @dataclass(frozen=True)
@@ -46,61 +46,71 @@ class AdjustedPValues:
     rejected: tuple[bool, ...]
 
 
-@lru_cache(maxsize=1 << 20)
-def _log_comb(m: int, f: int) -> float:
-    if m <= _EXACT_COMB_LIMIT:
-        return math.log(math.comb(m, f))
-    return math.lgamma(m + 1) - math.lgamma(f + 1) - math.lgamma(m - f + 1)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    # Dekker: a*b as a rounded product plus its exact rounding error
-    prod = a * b
-    c = 134217729.0 * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = 134217729.0 * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    err = ((ahi * bhi - prod) + ahi * blo + alo * bhi) + alo * blo
-    return prod, err
-
-
-def _log_add(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
 def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     """Natural log of P(X >= g) for X ~ Binomial(m, p), in log space.
 
     Terms are summed from f = g upward; once past the distribution mode the
     remainder is bounded by a geometric series and the sum stops when that
     bound is negligible, so large m stays cheap without losing accuracy.
+    Each term is log C(m, f) + f log p + (m - f) log(1 - p), with both
+    products carried as Dekker pairs (the rounded product and its exact
+    error) and the five parts summed exactly by ``math.fsum``. Up to m = 1024,
+    log C(m, f) is the log of the exact integer, updated term by term.
     """
     if g <= 0:
         return 0.0
     if g > m:
         return -math.inf
     p = Fraction(p)
-    lp = math.log(float(p))
-    lq = math.log(float(1 - p))
-    ratio = float(p / (1 - p))
-    mode = (m + 1) * float(p)
+    # float() of p, 1 - p and p / (1 - p): each is num / den in lowest terms
+    num, den = p.numerator, p.denominator
+    fp = num / den
+    lp = math.log(fp)
+    lq = math.log((den - num) / den)
+    ratio = num / (den - num)
+    mode = (m + 1) * fp
+    c = _SPLIT * lp
+    lp_hi = c - (c - lp)
+    lp_lo = lp - lp_hi
+    c = _SPLIT * lq
+    lq_hi = c - (c - lq)
+    lq_lo = lq - lq_hi
+    exact = m <= _EXACT_COMB_LIMIT
+    if exact:
+        comb = math.comb(m, g)
+    else:
+        lgamma = math.lgamma
+        lgamma_m = lgamma(m + 1)
+    log, log1p, exp, fsum = math.log, math.log1p, math.exp, math.fsum
     acc = -math.inf
     for f in range(g, m + 1):
-        t1, e1 = _two_prod(float(f), lp)
-        t2, e2 = _two_prod(float(m - f), lq)
-        lt = math.fsum((_log_comb(m, f), t1, e1, t2, e2))
-        acc = _log_add(acc, lt)
+        if exact:
+            lc = log(comb)
+            comb = comb * (m - f) // (f + 1)
+        else:
+            lc = lgamma_m - lgamma(f + 1) - lgamma(m - f + 1)
+        a = float(f)
+        t1 = a * lp
+        c = _SPLIT * a
+        a_hi = c - (c - a)
+        a_lo = a - a_hi
+        e1 = ((a_hi * lp_hi - t1) + a_hi * lp_lo + a_lo * lp_hi) + a_lo * lp_lo
+        a = float(m - f)
+        t2 = a * lq
+        c = _SPLIT * a
+        a_hi = c - (c - a)
+        a_lo = a - a_hi
+        e2 = ((a_hi * lq_hi - t2) + a_hi * lq_lo + a_lo * lq_hi) + a_lo * lq_lo
+        lt = fsum((lc, t1, e1, t2, e2))  # finite: lc >= 0, the rest finite
+        if acc == -math.inf:
+            acc = lt
+        elif acc < lt:
+            acc = lt + log1p(exp(acc - lt))
+        else:
+            acc = acc + log1p(exp(lt - acc))
         if f >= mode and f < m:
             r = (m - f) / (f + 1) * ratio
-            if r < 1.0 and lt + math.log(r / (1.0 - r)) < acc + _LOG_STOP:
+            if r < 1.0 and lt + log(r / (1.0 - r)) < acc + _LOG_STOP:
                 break
     return min(acc, 0.0)
 

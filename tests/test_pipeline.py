@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,34 @@ class TestLanguageTally:
             "", LevelSpec.N4_STAR, 1, 1, 0, 0)
         assert tally.level_counts(LevelSpec.N4_LINEAR) == LevelCounts(
             "", LevelSpec.N4_LINEAR, 1, 0, 1, 0)
+
+    @given(st.lists(shuffled_trees(), max_size=30),
+           st.lists(shuffled_trees(), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_merge_equals_folding_the_concatenation(self, first, second):
+        merged = fold_trees(first)
+        merged.merge(fold_trees(second))
+        whole = fold_trees(first + second)
+        assert merged.trees == whole.trees == len(first) + len(second)
+        for level in LevelSpec:
+            assert merged.level_counts(level) == whole.level_counts(level)
+
+    def test_pickle_round_trip_keeps_every_level(self):
+        tally = fold_trees(random_collection(3, 1, 200)["lang0"])
+        back = pickle.loads(pickle.dumps(tally))
+        assert back.trees == tally.trees
+        for level in LevelSpec:
+            assert back.level_counts(level) == tally.level_counts(level)
+
+    def test_other_lengths_only_count_as_trees(self):
+        tally = LanguageTally()
+        tally.add(1, [])
+        tally.add(2, [(1, 2)])
+        tally.add(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        assert tally.trees == 3
+        for level in LevelSpec:
+            assert tally.level_counts(level) == LevelCounts(
+                "", level, 0, 0, 0, 0)
 
 
 class TestRunTests:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,106 @@ class TestLogSpaceTail:
     def test_m_zero(self):
         assert binomial_upper_tail(BinomialTestInput(g=0, m=0,
                                                      p=Fraction(1, 2))) == 1.0
+
+
+def _two_prod(a, b):
+    # Dekker: a*b as a rounded product plus its exact rounding error
+    prod = a * b
+    c = 134217729.0 * a
+    ahi = c - (c - a)
+    alo = a - ahi
+    c = 134217729.0 * b
+    bhi = c - (c - b)
+    blo = b - bhi
+    err = ((ahi * bhi - prod) + ahi * blo + alo * bhi) + alo * blo
+    return prod, err
+
+
+def _log_add(a, b):
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+def _log_comb(m, f):
+    if m <= 1024:
+        return math.log(math.comb(m, f))
+    return math.lgamma(m + 1) - math.lgamma(f + 1) - math.lgamma(m - f + 1)
+
+
+def reference_log_upper_tail(g, m, p):
+    """The log-space tail one helper call at a time: the arithmetic that
+    ``log_binomial_upper_tail`` must reproduce bit for bit."""
+    if g <= 0:
+        return 0.0
+    if g > m:
+        return -math.inf
+    p = Fraction(p)
+    lp = math.log(float(p))
+    lq = math.log(float(1 - p))
+    ratio = float(p / (1 - p))
+    mode = (m + 1) * float(p)
+    acc = -math.inf
+    for f in range(g, m + 1):
+        t1, e1 = _two_prod(float(f), lp)
+        t2, e2 = _two_prod(float(m - f), lq)
+        lt = math.fsum((_log_comb(m, f), t1, e1, t2, e2))
+        acc = _log_add(acc, lt)
+        if f >= mode and f < m:
+            r = (m - f) / (f + 1) * ratio
+            if r < 1.0 and lt + math.log(r / (1.0 - r)) < acc + math.log(1e-18):
+                break
+    return min(acc, 0.0)
+
+
+def assert_bit_identical(g, m, p):
+    want = reference_log_upper_tail(g, m, p)
+    got = log_binomial_upper_tail(g, m, p)
+    assert got == want, (g, m, p)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want), (g, m, p)
+
+
+class TestTailMatchesReference:
+    """Bit-identical to the per-term reference on both log C(m, f) branches
+    (m <= 1024 exact integers, above that lgamma)."""
+
+    @staticmethod
+    def grid_ps():
+        rng = random.Random(20190614)
+        ps = PAPER_PS + [Fraction(5, 8)]  # PAPER_PS holds 3/8 already
+        ps += [(Fraction(rng.randint(0, 97), 97) + 1) / 4 for _ in range(2)]
+        for _ in range(2):
+            den = rng.randint(2, 10 ** rng.randint(1, 12))
+            ps.append(Fraction(rng.randint(1, den - 1), den))
+        return ps
+
+    @staticmethod
+    def grid_gs(m, p):
+        mode = math.floor((m + 1) * p)
+        return sorted({0, 1, mode - 1, mode, mode + 1, m, m + 1})
+
+    def test_small_m(self):
+        for p in self.grid_ps():
+            for m in range(1, 151):
+                for g in self.grid_gs(m, p):
+                    assert_bit_identical(g, m, p)
+
+    @pytest.mark.parametrize("m", [1023, 1024, 1025, 4000, 15000])
+    def test_large_m(self, m):
+        for p in self.grid_ps():
+            for g in self.grid_gs(m, p):
+                assert_bit_identical(g, m, p)
+
+    @given(st.integers(1, 400), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_rational(self, m, data):
+        den = data.draw(st.integers(2, 10 ** 9))
+        p = Fraction(data.draw(st.integers(1, den - 1)), den)
+        assert_bit_identical(data.draw(st.integers(0, m + 1)), m, p)
 
 
 def direct_stepdown_reject(raw, alpha):
