@@ -108,6 +108,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ErrorLog:
+    """An input's parse errors: the first ``MAX_ERRORS_SHOWN`` and a count."""
+
+    def __init__(self):
+        self.shown: list[ParseError] = []
+        self.count = 0
+
+    def append(self, error: ParseError) -> None:
+        self.count += 1
+        if self.count <= MAX_ERRORS_SHOWN:
+            self.shown.append(error)
+
+
 def _fold_stream(stream, fmt: str, cfg: PreprocessConfig, tag: str):
     """Fold one input's sentences into a tally, one at a time.
 
@@ -117,20 +130,17 @@ def _fold_stream(stream, fmt: str, cfg: PreprocessConfig, tag: str):
     """
     tally = pipeline.LanguageTally()
     exclusions: Counter[str] = Counter()
-    errors: list[ParseError] = []
-    for sentence in treebank.parse_treebank(stream, fmt, treebank_id=tag,
-                                            errors=errors):
-        result = treebank.clean_sentence(sentence, cfg)
+    errors = _ErrorLog()
+    for result in treebank.clean_treebank(stream, fmt, cfg, tag, errors):
         if isinstance(result, ExclusionReason):
             exclusions[result.value] += 1
         else:
             tally.add(*result)
-    if errors:
-        exclusions["parse_error"] += len(errors)
-    shown = [f"ddmtest: skipped sentence ({err})"
-             for err in errors[:MAX_ERRORS_SHOWN]]
-    if len(errors) > MAX_ERRORS_SHOWN:
-        shown.append(f"ddmtest: {tag}: {len(errors) - MAX_ERRORS_SHOWN} "
+    if errors.count:
+        exclusions["parse_error"] += errors.count
+    shown = [f"ddmtest: skipped sentence ({err})" for err in errors.shown]
+    if errors.count > MAX_ERRORS_SHOWN:
+        shown.append(f"ddmtest: {tag}: {errors.count - MAX_ERRORS_SHOWN} "
                      "more skipped sentences not shown")
     return tally, exclusions, shown
 

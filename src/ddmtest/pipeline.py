@@ -212,8 +212,13 @@ def success_probability(counts: LevelCounts, direction: Direction,
 
 
 def run_tests(counts: LevelCounts, direction: Direction, alpha: float = 0.05,
-              noncrossing: bool = False, family: str = UNKNOWN_FAMILY) -> TestResult:
-    """One pre-Holm binomial test for one language at one (level, direction)."""
+              noncrossing: bool = False, family: str = UNKNOWN_FAMILY,
+              min_sizes: dict | None = None) -> TestResult:
+    """One pre-Holm binomial test for one language at one (level, direction).
+
+    ``min_sizes`` memoises ``stats.min_sample_size`` by (p, alpha) for a
+    caller that runs many tests.
+    """
     p = success_probability(counts, direction, noncrossing)
     g = counts.g_above if direction is Direction.ABOVE else counts.g_below
     if counts.m == 0 or p is None:
@@ -222,7 +227,11 @@ def run_tests(counts: LevelCounts, direction: Direction, alpha: float = 0.05,
                           m=counts.m, g=g, p=p, p_value=1.0,
                           log10_p_value=0.0, adequately_sampled=False)
     log10_p = stats.log_binomial_upper_tail(g, counts.m, p) / _LN10
-    adequate = counts.m >= stats.min_sample_size(p, alpha)
+    memo = {} if min_sizes is None else min_sizes
+    min_size = memo.get((p, alpha))
+    if min_size is None:
+        min_size = memo[p, alpha] = stats.min_sample_size(p, alpha)
+    adequate = counts.m >= min_size
     return TestResult(language=counts.language, family=family,
                       level=counts.level, direction=direction,
                       m=counts.m, g=g, p=p, p_value=10.0 ** log10_p,
@@ -294,12 +303,14 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
     if not any(tallies[lang].trees for lang in languages):
         return report
 
+    min_sizes: dict = {}    # this call's min_sample_size answers
     for level in levels:
         counts = {lang: tallies[lang].level_counts(level, lang)
                   for lang in languages}
         for direction in directions:
             pre = [run_tests(counts[lang], direction, alpha, noncrossing,
-                             family=families.get(lang, UNKNOWN_FAMILY))
+                             family=families.get(lang, UNKNOWN_FAMILY),
+                             min_sizes=min_sizes)
                    for lang in languages if counts[lang].m >= 1]
             l0 = len(pre)
             l = sum(r.adequately_sampled for r in pre)

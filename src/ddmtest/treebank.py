@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import operator
 import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -24,6 +25,13 @@ _RANGE_RE = re.compile(r"([0-9]+)-[0-9]+")
 _DECIMAL_RE = re.compile(r"([0-9]+)\.[0-9]+")
 _N_COLUMNS = 10
 _BOM = "\ufeff"
+_BOM_BYTES = _BOM.encode()
+_CHUNK_BYTES = 1 << 18      # clean_treebank reads at most this much at a time
+_MAX_CARRY_BYTES = 1 << 20  # a longer run without a blank line is read by line
+# a block's regular ids, and each head's token index (-1 for the root), as
+# the column reader takes them: a block longer than this is read by line
+_IDS = [str(i) for i in range(1, 1025)]
+_HEAD_INDEX = {text: i for i, text in enumerate(["0"] + _IDS, start=-1)}
 
 # loose tag patterns seen across annotation schemes (PTB ".", Prague "Z:...",
 # UD "PUNCT", assorted "Punc"/"PU" variants, or the character itself as tag)
@@ -73,38 +81,55 @@ class ParseError:
         return f"{where}line {self.line_no}: {self.message}"
 
 
-def _ud_punct(token: RawToken) -> bool:
-    return token.pos == "PUNCT"
+# The default deletion rules, each a predicate on one column: punctuation on
+# the POS column, null elements on the FORM column.
+
+def _ud_punct(pos: str) -> bool:
+    return pos == "PUNCT"
 
 
-def _prague_punct(token: RawToken) -> bool:
+def _prague_punct(pos: str) -> bool:
     # Prague positional tags put punctuation in main class Z
-    return token.pos.startswith("Z")
+    return pos.startswith("Z")
 
 
-def _generic_punct(token: RawToken) -> bool:
-    return _GENERIC_PUNCT_RE.fullmatch(token.pos) is not None
+def _generic_punct(pos: str) -> bool:
+    return _GENERIC_PUNCT_RE.fullmatch(pos) is not None
 
 
-def _hamledt_null(token: RawToken) -> bool:
+def _hamledt_null(form: str) -> bool:
     # null elements in the Bengali/Hindi/Telugu HamleDT corpora surface as
     # tokens whose form is the literal string NULL
-    return token.form == "NULL"
+    return form == "NULL"
 
 
-_DEFAULT_PUNCT: dict[Scheme, Callable[[RawToken], bool]] = {
+_PUNCT_RULES: dict[Scheme, Callable[[str], bool]] = {
     Scheme.UD: _ud_punct,
     Scheme.PRAGUE: _prague_punct,
     Scheme.STANFORD: _generic_punct,
     Scheme.GENERIC: _generic_punct,
 }
 
-_DEFAULT_EMPTY: dict[Scheme, Callable[[RawToken], bool] | None] = {
-    Scheme.UD: None,
+_NULL_RULES: dict[Scheme, Callable[[str], bool]] = {
     Scheme.PRAGUE: _hamledt_null,
     Scheme.STANFORD: _hamledt_null,
-    Scheme.GENERIC: None,
 }
+
+
+def _on_pos(rule: Callable[[str], bool]) -> Callable[[RawToken], bool]:
+    return lambda token: rule(token.pos)
+
+
+def _on_form(rule: Callable[[str], bool]) -> Callable[[RawToken], bool]:
+    return lambda token: rule(token.form)
+
+
+_DEFAULT_PUNCT: dict[Scheme, Callable[[RawToken], bool]] = {
+    scheme: _on_pos(rule) for scheme, rule in _PUNCT_RULES.items()}
+
+_DEFAULT_EMPTY: dict[Scheme, Callable[[RawToken], bool] | None] = {
+    scheme: _on_form(_NULL_RULES[scheme]) if scheme in _NULL_RULES else None
+    for scheme in Scheme}
 
 
 @dataclass(frozen=True)
@@ -142,7 +167,9 @@ def _iter_lines(stream) -> Iterator[str | None]:
     valid UTF-8. Lines read from a stream keep their line terminator."""
     if isinstance(stream, bytes):
         stream = io.BytesIO(stream)
-    lines = iter(stream.splitlines() if isinstance(stream, str) else stream)
+    elif isinstance(stream, str):
+        stream = io.StringIO(stream)    # breaks lines at "\n" only
+    lines = iter(stream)
     first = next(lines, None)
     if first is None:
         return iter(())
@@ -191,8 +218,19 @@ def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
     ``errors`` (one entry, naming ``treebank_id`` and the first offending
     line) and skipped; parsing continues with the next sentence.
     """
+    _check_format(fmt)
+    yield from _parse_lines(_iter_lines(stream), treebank_id, errors)
+
+
+def _check_format(fmt: str) -> None:
     if fmt not in ("conllu", "conllx"):
         raise ValueError(f"unknown treebank format {fmt!r}")
+
+
+def _parse_lines(lines: Iterable[str | None], treebank_id: str,
+                 errors, first_line: int = 1) -> Iterator[RawSentence]:
+    """``parse_treebank`` over decoded lines (None for a line that is not
+    UTF-8), the first of which is line ``first_line`` of the input."""
     tokens: list[RawToken] = []
     sent_id: str | None = None
     bad: ParseError | None = None
@@ -221,8 +259,8 @@ def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
         sent_id = None
         return out
 
-    line_no = 0
-    for line_no, line in enumerate(_iter_lines(stream), start=1):
+    line_no = first_line - 1
+    for line_no, line in enumerate(lines, start=first_line):
         if not line or line.isspace():
             if line is None:            # not valid UTF-8
                 if bad is None:
@@ -233,8 +271,9 @@ def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
                 yield sentence
             continue
         if line[0] == "#":
-            if line[1:].split("=", 1)[0].strip() == "sent_id":
-                sent_id = line.split("=", 1)[1].strip()
+            key, eq, value = line[1:].partition("=")
+            if eq and key.strip() == "sent_id":
+                sent_id = value.strip()
             continue
         if bad is not None:
             continue
@@ -290,7 +329,15 @@ def clean_sentence(sentence: RawSentence,
     head = [get(t.head, -2) if t.head else -1 for t in tokens]
     if -2 in head:
         return ExclusionReason.MALFORMED
+    return _tree_check(head, deleted)
 
+
+def _tree_check(head: list[int], deleted: list[bool]
+                ) -> tuple[int, list[tuple[int, int]]] | ExclusionReason:
+    """``clean_sentence`` once each token's head is known: ``head[i]`` is
+    the index of token i's head (-1 for the root) and ``deleted[i]`` says
+    whether token i goes. Overwrites ``head``."""
+    n_all = len(head)
     survivors = [i for i, gone in enumerate(deleted) if not gone]
     if not survivors:
         return ExclusionReason.EMPTY_AFTER_PREPROCESSING
@@ -340,6 +387,141 @@ def preprocess(sentence: RawSentence,
         return result
     n, edges = result
     return LinearizedTree(n=n, edges=edges)
+
+
+def clean_treebank(stream, fmt: str = "conllu",
+                   cfg: PreprocessConfig = PreprocessConfig(),
+                   treebank_id: str = "", errors=None
+                   ) -> Iterator[tuple[int, list[tuple[int, int]]]
+                                 | ExclusionReason]:
+    """``clean_sentence`` of each sentence of ``stream``, in order.
+
+    Yields what ``clean_sentence(s, cfg)`` yields for each ``s`` of
+    ``parse_treebank(stream, fmt, treebank_id, errors)``, and records the
+    same parse errors. A binary stream under the scheme's default rules is
+    read a chunk of whole blocks at a time, and each block is taken apart by
+    columns. A block the column reader cannot vouch for goes through
+    ``parse_treebank`` and ``clean_sentence``, with its real line numbers.
+    """
+    _check_format(fmt)
+    if not (isinstance(stream, io.BufferedIOBase)
+            and cfg.punct_predicate is None
+            and cfg.empty_node_predicate is None and cfg.remove_empty_nodes):
+        for sentence in parse_treebank(stream, fmt, treebank_id, errors):
+            yield clean_sentence(sentence, cfg)
+        return
+
+    def by_line(lines, first_line):
+        for sentence in _parse_lines(lines, treebank_id, errors, first_line):
+            yield clean_sentence(sentence, cfg)
+
+    punct, null = _PUNCT_RULES[cfg.scheme], _NULL_RULES.get(cfg.scheme)
+    line_no = 1                         # the line that ``rest`` starts on
+    rest = stream.read(len(_BOM_BYTES))
+    if rest == _BOM_BYTES:
+        rest = b""
+    while True:
+        data = stream.read(_CHUNK_BYTES)
+        buf = rest + data
+        if data:
+            # cut after the last blank line; CRLF input has none, and goes
+            # to the line reader once it runs past the carry limit
+            end = buf.rfind(b"\n\n")
+            if end < 0:
+                if len(buf) <= _MAX_CARRY_BYTES:
+                    rest = buf
+                    continue
+                # no blank line in sight: read the rest line by line
+                lines = itertools.chain(io.BytesIO(buf + stream.readline()),
+                                        stream)
+                yield from by_line(_decoded(lines), line_no)
+                return
+            piece, rest = buf[:end + 2], buf[end + 2:]
+        else:
+            piece, rest = buf, b""
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError:
+            yield from by_line(_decoded(io.BytesIO(piece)), line_no)
+        else:
+            groups = text.split("\n\n")
+            last = len(groups) - 1
+            pos = 0                         # where ``group`` starts in text
+            first, counted = line_no, 0     # line ``first`` starts at counted
+            for k, group in enumerate(groups):
+                result = _clean_block(group, punct, null)
+                if result is None:
+                    first += text.count("\n", counted, pos)
+                    counted = pos
+                    # give back the blank line after every group but the
+                    # last, so that a block ends on the same line as it
+                    # does in the whole input
+                    yield from by_line(
+                        io.StringIO(group + "\n\n" if k < last else group),
+                        first)
+                elif result is not _NO_BLOCK:
+                    yield result
+                pos += len(group) + 2
+        if not data:
+            return
+        line_no += piece.count(b"\n")
+
+
+_NO_BLOCK = object()     # _clean_block's answer for a group of no token line
+
+
+def _clean_block(group: str, punct: Callable[[str], bool],
+                 null: Callable[[str], bool] | None):
+    """``clean_sentence``'s result for the block in ``group``, lines with no
+    empty line among them, under the default rules ``punct`` (on the POS
+    column) and ``null`` (on FORM); ``_NO_BLOCK`` if it holds only comments.
+    None, for ``parse_treebank`` to read it, unless every other line has ten
+    columns, the regular ids are 1..k, the other ids are ranges or empty
+    nodes, and each head is one of 0..k, written plainly, but not its own id.
+    """
+    start = 0
+    while group.startswith(("#", "\n"), start):   # leading comments
+        start = group.find("\n", start) + 1
+        if not start:
+            return _NO_BLOCK
+    body = group[start:].rstrip("\n")
+    if not body:
+        return _NO_BLOCK
+    if "\r" in body:           # CRLF lines: read by line like any stray "\r"
+        return None
+    if "\n#" in body:
+        body = "\n".join(line for line in body.split("\n") if line[0] != "#")
+    # one cell per column, and a "\n" cell between lines: then every line
+    # has ten columns if the "\n" cells fall every eleventh
+    k = body.count("\n") + 1
+    cells = body.replace("\n", "\t\n\t").split("\t")
+    if len(cells) != 11 * k - 1 or cells[10::11].count("\n") != k - 1:
+        return None
+    ids = cells[0::11]
+    heads, pos, forms = cells[6::11], cells[3::11], cells[1::11]
+    if ids != _IDS[:k]:
+        # drop range lines and empty nodes; the ids left must be 1..k
+        regular = list(map(str.isdigit, ids))
+        for c in itertools.compress(ids, map(operator.not_, regular)):
+            if not (_RANGE_RE.fullmatch(c) or _DECIMAL_RE.fullmatch(c)):
+                return None
+        ids = list(itertools.compress(ids, regular))
+        k = len(ids)
+        if ids != _IDS[:k]:
+            return None
+        if not k:
+            return ExclusionReason.EMPTY_AFTER_PREPROCESSING
+        heads = list(itertools.compress(heads, regular))
+        pos = list(itertools.compress(pos, regular))
+        forms = list(itertools.compress(forms, regular))
+    head = list(map(_HEAD_INDEX.get, heads))
+    if None in head or max(head) >= k or any(map(operator.eq, head, range(k))):
+        return None
+    if null is None:
+        deleted = list(map(punct, pos))
+    else:
+        deleted = list(map(operator.or_, map(null, forms), map(punct, pos)))
+    return _tree_check(head, deleted)
 
 
 def gather_files(paths: Iterable[str | Path]) -> list[Path]:

@@ -11,6 +11,7 @@ import pytest
 import ddmtest
 from ddmtest import cli
 from ddmtest.cli import infer_language, main
+from ddmtest.treebank import ParseError
 
 STAR_AT_END = """\
 1	V	v	VERB	_	_	0	root	_	_
@@ -187,6 +188,26 @@ class TestAnalyzeCommand:
             "expected 10 columns, got 1)"
             for line in range(6, 46, 2)] + [
             f"ddmtest: {path}: 3 more skipped sentences not shown"]
+
+    def test_error_log_keeps_only_the_errors_shown(self):
+        log = cli._ErrorLog()
+        errors = [ParseError(line, "bad") for line in range(1, 31)]
+        for error in errors:
+            log.append(error)
+        assert log.count == 30
+        assert log.shown == errors[:cli.MAX_ERRORS_SHOWN]
+
+    def test_sent_id_comment_without_value(self, tmp_path, capsysbinary):
+        path = tmp_path / "Alpha.conllu"
+        path.write_text("# sent_id\n" + STAR_AT_END + "\n# sent_id\n"
+                        + STAR_AT_END, encoding="utf-8")
+        code = main(["analyze", "--input", str(path), "--report", "json",
+                     "--levels", "n4_star", "--direction", "above"])
+        assert code == 0
+        captured = capsysbinary.readouterr()
+        assert captured.err == b""
+        (result,) = json.loads(captured.out)["results"]
+        assert result["m"] == 2
 
     def test_undecodable_block_skipped_rest_counted(self, tmp_path,
                                                     capsysbinary):

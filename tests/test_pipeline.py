@@ -23,6 +23,7 @@ from ddmtest import (
     sum_of_distances,
     tally_level,
 )
+from ddmtest import stats
 from ddmtest.pipeline import LanguageTally, _neglog10, fold_trees
 
 N3_HIGH = LinearizedTree(3, [(1, 2), (1, 3)])     # D = 3
@@ -294,6 +295,28 @@ class TestAnalyzeCollection:
             fresh = run_tests(counts, Direction.BELOW)
             assert result.p_value == fresh.p_value
             assert result.m == fresh.m and result.g == fresh.g
+
+    def test_min_sample_size_once_per_p_and_call(self, monkeypatch):
+        collection = random_collection(12, n_languages=6)
+        calls = []
+        real = stats.min_sample_size
+
+        def spy(p, alpha):
+            calls.append((p, alpha))
+            return real(p, alpha)
+
+        monkeypatch.setattr(stats, "min_sample_size", spy)
+        first = analyze_collection(collection, alpha=0.01)
+        assert len(first.results) == 6 * 12
+        assert len(calls) == len(set(calls)) < len(first.results)
+        second = analyze_collection(collection, alpha=0.01)
+        assert calls[len(calls) // 2:] == calls[:len(calls) // 2]
+        assert second == first
+        for result in first.results:
+            counts = tally_level(collection[result.language], result.level,
+                                 result.language)
+            fresh = run_tests(counts, result.direction, alpha=0.01)
+            assert result.adequately_sampled == fresh.adequately_sampled
 
     def test_families_attached_and_missing_warned(self, caplog):
         collection = {"aa": [N3_HIGH], "bb": [N3_LOW]}

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,9 @@ from ddmtest import (
     parse_treebank,
     preprocess,
 )
+from ddmtest import cli, treebank
+from ddmtest.pipeline import LanguageTally
+from ddmtest.treebank import clean_sentence, clean_treebank
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,6 +73,14 @@ class TestParse:
         (sent,) = parse_treebank(text)
         assert sent.source_id == "abc-42"
 
+    def test_sent_id_comment_without_value(self):
+        text = "# sent_id = a\n# sent_id\n" + conllu_line(1) + "\n\n" + \
+            "# sent_id\n" + conllu_line(1)
+        errors: list[ParseError] = []
+        ids = [s.source_id for s in parse_treebank(text, errors=errors)]
+        assert ids == ["a", "2"]
+        assert errors == []
+
     def test_ordinal_when_no_sent_id(self):
         text = conllu_line(1) + "\n\n" + conllu_line(1)
         ids = [s.source_id for s in parse_treebank(text)]
@@ -115,6 +127,26 @@ class TestParse:
         errors: list[ParseError] = []
         assert len(list(parse_treebank(text, errors=errors))) == 1
         assert len(errors) == 1
+
+    def test_str_breaks_lines_at_newline_only(self):
+        text = conllu_line(1, form="a\u2028b\x0bc\x85") + "\n" + \
+            conllu_line(2, head=1, form="\x1c") + "\n"
+        errors: list[ParseError] = []
+        (sent,) = parse_treebank(text, errors=errors)
+        assert errors == []
+        assert [t.form for t in sent.tokens] == ["a\u2028b\x0bc\x85", "\x1c"]
+
+    @given(st.lists(st.text(st.sampled_from(
+        "1\t_#=X \r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff"), max_size=40),
+        max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_str_and_bytes_give_the_same_sentences(self, lines):
+        text = "\n".join(lines)
+        parsed = []
+        for data in (text, text.encode("utf-8")):
+            errors: list[ParseError] = []
+            parsed.append((list(parse_treebank(data, errors=errors)), errors))
+        assert parsed[0] == parsed[1]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -375,6 +407,7 @@ token_lines = st.builds(
 noise_lines = st.binary(max_size=30).map(lambda b: b.replace(b"\n", b""))
 input_lines = st.lists(st.one_of(
     token_lines, token_lines, st.just(b""), st.just(b"# sent_id = s"),
+    st.just(b"# sent_id"),
     st.just(b"1-2\t_\t_\t_\t_\t_\t_\t_\t_\t_"), noise_lines), max_size=40)
 
 
@@ -437,3 +470,214 @@ class TestGatherFiles:
     def test_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             gather_files([tmp_path / "nope"])
+
+
+def reference_clean(data: bytes, fmt="conllu", cfg=PreprocessConfig()):
+    """Each sentence's fate and the parse errors, read line by line."""
+    errors: list[ParseError] = []
+    fates = [clean_sentence(s, cfg)
+             for s in parse_treebank(data, fmt, "t", errors)]
+    return fates, errors
+
+
+def block_clean(data: bytes, fmt="conllu", cfg=PreprocessConfig()):
+    errors: list[ParseError] = []
+    fates = list(clean_treebank(io.BytesIO(data), fmt, cfg, "t", errors))
+    return fates, errors
+
+
+def token_line(i, head, form="w", pos="X"):
+    return f"{i}\t{form}\t_\t{pos}\t_\t_\t{head}\tdep\t_\t_"
+
+
+EXTRA_LINES = [
+    "# sent_id = s", "# sent_id", "# text = a b",
+    "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_", "0.1\tE\t_\t_\t_\t_\t_\t_\t_\t_",
+    "1\tonly\tthree", " ", "\t" * 9,
+    "\x0c", "\u2028", "\ufeff" + token_line(1, 0), token_line(1, "_"),
+    token_line("x", 0), token_line("01", 0), token_line(0, 1),
+    token_line(1, 1), token_line(1, 9), token_line(1, "01"),
+]
+
+
+@st.composite
+def noisy_blocks(draw):
+    """One block's lines: ids 1..k with heads in 0..k, then a few edits
+    (a head that is the token itself, above k or not plain digits; extra
+    lines; a last empty node k.1; duplicated or swapped lines)."""
+    k = draw(st.integers(0, 6))
+    forms = st.sampled_from(["w", "NULL", ",", "x"])
+    tags = st.sampled_from(["X", "PUNCT", "Z:", "Zx", ",", "Punc", "N"])
+    heads = [draw(st.integers(0, k)) for _ in range(k)]
+    heads = [0 if h == i else h for i, h in enumerate(heads, start=1)]
+    if heads and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(1, k))
+        heads[i - 1] = draw(st.sampled_from([i, k + 1, "_", "01", "00"]))
+    lines = [token_line(i, h, draw(forms), draw(tags))
+             for i, h in enumerate(heads, start=1)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        edit = draw(st.sampled_from(["extra", "empty", "copy", "swap"]))
+        at = draw(st.integers(0, len(lines)))
+        if edit == "extra":
+            lines.insert(at, draw(st.sampled_from(EXTRA_LINES)))
+        elif edit == "empty":
+            lines.insert(at, f"{k}.1\tE\t_\t_\t_\t_\t_\t_\t_\t_")
+        elif lines and edit == "copy":
+            lines.insert(at, lines[at - 1])
+        elif len(lines) > 1:
+            lines[at - 1], lines[at - 2] = lines[at - 2], lines[at - 1]
+    return [line.encode() for line in lines]
+
+
+@st.composite
+def noisy_inputs(draw):
+    """Blocks between separator lines, in LF or CRLF, with an optional BOM,
+    stray bytes, invalid UTF-8 and no final newline."""
+    blocks = draw(st.lists(noisy_blocks(), max_size=8))
+    separators = st.sampled_from(
+        [b""] * 12 + [b"\r", b" \t", b"\x0b", "\u2029".encode(), b"\xff"])
+    noise = st.binary(max_size=12).map(lambda b: b.replace(b"\n", b""))
+    eol = b"\r\n" if draw(st.integers(0, 4)) == 0 else b"\n"
+    lines: list[bytes] = []
+    for block in blocks:
+        if draw(st.integers(0, 9)) == 0:
+            block = block + [draw(noise)]
+        lines += block + [draw(separators)]
+    data = eol.join(lines)
+    if draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+# read and carry sizes small enough that chunk cuts land anywhere
+chunk_sizes = st.tuples(st.integers(1, 80), st.integers(1, 400))
+
+
+class TestCleanTreebank:
+    @given(noisy_inputs(), st.sampled_from(list(Scheme)),
+           st.sampled_from(["conllu", "conllx"]), chunk_sizes)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_line_by_line(self, data, scheme, fmt, sizes):
+        cfg = PreprocessConfig(scheme=scheme)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
+            mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
+            got = block_clean(data, fmt, cfg)
+        assert got == reference_clean(data, fmt, cfg)
+
+    @given(noisy_inputs(), st.sampled_from(list(Scheme)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_line_by_line_at_full_size(self, data, scheme):
+        cfg = PreprocessConfig(scheme=scheme)
+        assert block_clean(data, cfg=cfg) == reference_clean(data, cfg=cfg)
+
+    @given(noisy_inputs(), st.sampled_from(list(Scheme)), chunk_sizes)
+    @settings(max_examples=100, deadline=None)
+    def test_cli_fold_matches_line_by_line_fold(self, data, scheme, sizes):
+        cfg = PreprocessConfig(scheme=scheme)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
+            mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
+            tally, exclusions, shown = cli._fold_stream(
+                io.BytesIO(data), "conllu", cfg, "t")
+        fates, errors = reference_clean(data, cfg=cfg)
+        reference = LanguageTally()
+        for fate in fates:
+            if not isinstance(fate, ExclusionReason):
+                reference.add(*fate)
+        assert (tally.cells, tally.trees) == (reference.cells, reference.trees)
+        expected = Counter(f.value for f in fates
+                           if isinstance(f, ExclusionReason))
+        if errors:
+            expected["parse_error"] = len(errors)
+        assert exclusions == expected
+        assert shown == [f"ddmtest: skipped sentence ({e})" for e in errors]
+
+    @pytest.fixture
+    def by_line(self, monkeypatch):
+        """The first lines of the pieces the line-by-line parser reads."""
+        starts = []
+        real = treebank._parse_lines
+
+        def spy(lines, treebank_id, errors, first_line=1):
+            starts.append(first_line)
+            return real(lines, treebank_id, errors, first_line)
+
+        monkeypatch.setattr(treebank, "_parse_lines", spy)
+        return starts
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_well_formed_blocks_take_no_line_reader(self, scheme, by_line):
+        text = "\ufeff# sent_id = a\n# text = a b\n" + "\n".join([
+            "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_", token_line(1, 3),
+            "0.1\tE\t_\t_\t_\t_\t_\t_\t_\t_", token_line(2, 3, pos="PUNCT"),
+            token_line(3, 0, form="NULL"), "# comment", token_line(4, 3),
+            "4.1\tE\t_\t_\t_\t_\t_\t_\t_\t_"]) + "\n\n\n" + "\n".join([
+                token_line(1, 2), token_line(2, 0), token_line(3, 2)])
+        cfg = PreprocessConfig(scheme=scheme)
+        fates, errors = block_clean(text.encode(), cfg=cfg)
+        assert by_line == []
+        assert (fates, errors) == reference_clean(text.encode(), cfg=cfg)
+        assert errors == [] and len(fates) == 2
+
+    @pytest.mark.parametrize("lines", [
+        [token_line(1, 0), "1\tonly\tthree"],
+        [token_line(1, 0) + "\t_", token_line(2, 1)[:-2]],   # 11 + 9
+        [token_line(1, 0)[:-2], "2\t2\t_\tX\tX\t_\t1\t1\t_\t_\t_"],  # 9 + 11
+        [token_line("x1", 0)],
+        [token_line(1, 0), token_line(3, 1)],                # a gap
+        [token_line(1, 0), token_line(1, 0)],                # duplicate
+        [token_line(2, 0), token_line(1, 2)],                # order
+        [token_line("01", 0)],
+        [token_line(0, 1)],
+        [token_line(1, "_")],
+        [token_line(1, "\u0661")],
+        [token_line(1, "01")],
+        [token_line(1, 0), token_line(2, 3)],                # above k
+        [token_line(1, 0), token_line(2, 2)],                # own head
+        [token_line(1, 0), "\u2028", token_line(1, 0)],
+        [token_line(1, 0), "\ufeff" + token_line(2, 1)],
+        [token_line(1, 0), " \t", token_line(1, 0)],
+    ])
+    def test_each_fallback_reads_by_line(self, lines, by_line):
+        data = ("\n".join([token_line(1, 0), ""] + lines
+                          + ["", token_line(1, 0)])).encode()
+        got = block_clean(data)
+        assert by_line == [3]
+        assert got == reference_clean(data)
+
+    def test_invalid_utf8_chunk_reads_by_line(self, by_line):
+        data = (token_line(1, 0) + "\n\n").encode() + b"1\t\xff" + \
+            token_line(1, 0)[1:].encode()
+        fates, errors = block_clean(data)
+        assert by_line == [3]
+        assert (fates, errors) == reference_clean(data)
+        assert [(e.line_no, e.message) for e in errors] == [(3, "invalid UTF-8")]
+
+    def test_crlf_reads_by_line(self, by_line):
+        data = (token_line(1, 0) + "\r\n\r\n" + token_line(1, 0)
+                + "\r\n").encode()
+        got = block_clean(data)
+        assert by_line == [1]           # no "\n\n" to cut at: all by line
+        assert got == reference_clean(data)
+
+    def test_run_without_blank_line_reads_rest_by_line(self, by_line,
+                                                       monkeypatch):
+        monkeypatch.setattr(treebank, "_CHUNK_BYTES", 16)
+        monkeypatch.setattr(treebank, "_MAX_CARRY_BYTES", 64)
+        lines = [token_line(1, 0), "", token_line(1, 0)] + [
+            token_line(i, i - 1) for i in range(2, 9)] + [token_line(8, 0)]
+        data = "\n".join(lines).encode()
+        fates, errors = block_clean(data)
+        assert by_line == [3]
+        assert (fates, errors) == reference_clean(data)
+        assert [e.line_no for e in errors] == [11]
+
+    def test_custom_rules_and_text_streams_read_by_line(self, by_line):
+        text = token_line(1, 0) + "\n" + token_line(2, 1, pos="P") + "\n"
+        cfg = PreprocessConfig(punct_predicate=lambda t: t.pos == "P")
+        assert block_clean(text.encode(), cfg=cfg) == ([(1, [])], [])
+        assert list(clean_treebank(io.StringIO(text))) == [(2, [(2, 1)])]
+        assert by_line == [1, 1]
