@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
-
-def _max_distance_sum(n: int) -> int:
-    # loose bound: n-1 edges, each of distance at most n-1
-    return (n - 1) * (n - 1)
+try:
+    import numpy as np
+except ImportError as exc:      # the "sim" extra; other modules import it here
+    raise ImportError("enumeration and sampling need numpy: "
+                      "pip install 'ddmtest[sim]'") from exc
 
 
 def _crossing_mask(posmat: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -40,7 +39,7 @@ def distance_histogram(eu: np.ndarray, ev: np.ndarray, n: int,
     """
     eu = np.asarray(eu, np.int64)
     ev = np.asarray(ev, np.int64)
-    maxd = _max_distance_sum(n)
+    maxd = (n - 1) * (n - 1)     # n-1 edges, each at most n-1 long
     hist = np.zeros(maxd + 1, np.int64)
     perms = itertools.permutations(range(n))
     row = np.dtype((np.int64, (n,)))

@@ -134,7 +134,7 @@ def sample_random_arrangement(tree: LinearizedTree,
     Accepts a seed or a ``numpy.random.Generator``; passing the same seed
     always yields the same arrangement.
     """
-    import numpy as np
+    from .kernels import np
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     perm = rng.permutation(tree.n)  # perm[v-1] + 1 is the new position of v
@@ -145,9 +145,8 @@ def sample_random_arrangement(tree: LinearizedTree,
 def sample_distance_sums(tree: LinearizedTree, size: int,
                          seed: int | np.random.Generator) -> np.ndarray:
     """D values of ``size`` independent uniform random arrangements (batched)."""
-    import numpy as np
-
     from . import kernels
+    from .kernels import np
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     eu, ev = tree.edge_arrays()

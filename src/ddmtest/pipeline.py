@@ -152,12 +152,16 @@ class LanguageTally:
         self.cells = [x + y for x, y in zip(self.cells, other.cells)]
         self.trees += other.trees
 
-    def level_counts(self, level: LevelSpec, language: str = "") -> LevelCounts:
-        """The tally of one level, as ``tally_level`` gives it."""
+    def level_counts(self, level: LevelSpec, language: str = "",
+                     noncrossing: bool = False) -> LevelCounts:
+        """The tally of one level, as ``tally_level`` gives it; with
+        ``noncrossing`` a path at D = 5 is above its crossing-free mean 19/4."""
         cells = self.cells
         rows = _LEVEL_ROWS[level]
         above, below, ties = (sum(cells[3 * row + col] for row in rows)
                               for col in range(3))
+        if noncrossing and 2 in rows:   # cell 8: the paths' ties
+            above, ties = above + cells[8], ties - cells[8]
         m = above + below + ties
         p_star = None
         if level is LevelSpec.N4_ALL_REAL and m > 0:
@@ -175,9 +179,10 @@ def fold_trees(trees: Iterable[LinearizedTree]) -> LanguageTally:
 
 
 def tally_level(trees: Sequence[LinearizedTree], level: LevelSpec,
-                language: str = "") -> LevelCounts:
+                language: str = "", *, noncrossing: bool = False
+                ) -> LevelCounts:
     """Count how one language's trees fall against the mean at one level."""
-    return fold_trees(trees).level_counts(level, language)
+    return fold_trees(trees).level_counts(level, language, noncrossing)
 
 
 def _level_ensemble(counts: LevelCounts) -> EnsembleSpec | None:
@@ -305,7 +310,7 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
 
     min_sizes: dict = {}    # this call's min_sample_size answers
     for level in levels:
-        counts = {lang: tallies[lang].level_counts(level, lang)
+        counts = {lang: tallies[lang].level_counts(level, lang, noncrossing)
                   for lang in languages}
         for direction in directions:
             pre = [run_tests(counts[lang], direction, alpha, noncrossing,

@@ -25,8 +25,7 @@ _RANGE_RE = re.compile(r"([0-9]+)-[0-9]+")
 _DECIMAL_RE = re.compile(r"([0-9]+)\.[0-9]+")
 _N_COLUMNS = 10
 _BOM = "\ufeff"
-_BOM_BYTES = _BOM.encode()
-_CHUNK_BYTES = 1 << 18      # clean_treebank reads at most this much at a time
+_CHUNK_BYTES = 1 << 18      # clean_treebank reads about this much at a time
 _MAX_CARRY_BYTES = 1 << 20  # a longer run without a blank line is read by line
 # a block's regular ids, and each head's token index (-1 for the root), as
 # the column reader takes them: a block longer than this is read by line
@@ -36,6 +35,10 @@ _HEAD_INDEX = {text: i for i, text in enumerate(["0"] + _IDS, start=-1)}
 # loose tag patterns seen across annotation schemes (PTB ".", Prague "Z:...",
 # UD "PUNCT", assorted "Punc"/"PU" variants, or the character itself as tag)
 _GENERIC_PUNCT_RE = re.compile(r"PUNCT|PUNC|Punc|punc|PU|Z\S*|[^\w\s]+")
+# a line end and the blank lines after it, as the line reader ends a block
+# at any empty or whitespace-only line: whitespace between two line ends is
+# whole blank lines (regex \s and str.isspace agree on every character)
+_BLANK_RE = re.compile(r"(\n\s*\n)")
 
 
 class Scheme(Enum):
@@ -116,22 +119,6 @@ _NULL_RULES: dict[Scheme, Callable[[str], bool]] = {
 }
 
 
-def _on_pos(rule: Callable[[str], bool]) -> Callable[[RawToken], bool]:
-    return lambda token: rule(token.pos)
-
-
-def _on_form(rule: Callable[[str], bool]) -> Callable[[RawToken], bool]:
-    return lambda token: rule(token.form)
-
-
-_DEFAULT_PUNCT: dict[Scheme, Callable[[RawToken], bool]] = {
-    scheme: _on_pos(rule) for scheme, rule in _PUNCT_RULES.items()}
-
-_DEFAULT_EMPTY: dict[Scheme, Callable[[RawToken], bool] | None] = {
-    scheme: _on_form(_NULL_RULES[scheme]) if scheme in _NULL_RULES else None
-    for scheme in Scheme}
-
-
 @dataclass(frozen=True)
 class PreprocessConfig:
     """Deletion rules applied before any analysis.
@@ -145,13 +132,14 @@ class PreprocessConfig:
     scheme: Scheme = Scheme.UD
     punct_predicate: Callable[[RawToken], bool] | None = None
     empty_node_predicate: Callable[[RawToken], bool] | None = None
-    remove_empty_nodes: bool = True
 
     def predicates(self) -> tuple[Callable[[RawToken], bool],
                                   Callable[[RawToken], bool] | None]:
         """The (punctuation, non-word node) predicates in effect."""
-        return (self.punct_predicate or _DEFAULT_PUNCT[self.scheme],
-                self.empty_node_predicate or _DEFAULT_EMPTY[self.scheme])
+        punct, null = _PUNCT_RULES[self.scheme], _NULL_RULES.get(self.scheme)
+        return (self.punct_predicate or (lambda token: punct(token.pos)),
+                self.empty_node_predicate or (
+                    None if null is None else lambda token: null(token.form)))
 
 
 def _decoded(lines: Iterable[bytes]) -> Iterator[str | None]:
@@ -320,10 +308,8 @@ def clean_sentence(sentence: RawSentence,
     if is_null is None and not has_empty:
         deleted = list(map(is_punct, tokens))
     else:
-        remove_empty = cfg.remove_empty_nodes
-        deleted = [remove_empty if t.is_empty_node
-                   or (is_null is not None and is_null(t)) else is_punct(t)
-                   for t in tokens]
+        deleted = [t.is_empty_node or (is_null is not None and is_null(t))
+                   or is_punct(t) for t in tokens]
 
     get = by_id.get
     head = [get(t.head, -2) if t.head else -1 for t in tokens]
@@ -398,73 +384,85 @@ def clean_treebank(stream, fmt: str = "conllu",
 
     Yields what ``clean_sentence(s, cfg)`` yields for each ``s`` of
     ``parse_treebank(stream, fmt, treebank_id, errors)``, and records the
-    same parse errors. A binary stream under the scheme's default rules is
-    read a chunk of whole blocks at a time, and each block is taken apart by
-    columns. A block the column reader cannot vouch for goes through
-    ``parse_treebank`` and ``clean_sentence``, with its real line numbers.
+    same parse errors. ``stream`` is a binary or text file object, or the
+    content itself (``bytes`` or ``str``). It is read a chunk of whole lines
+    at a time and split into blocks at blank lines. Under the scheme's
+    default rules each block is taken apart by columns; a block the column
+    reader cannot vouch for, or that holds a byte that is not UTF-8, goes
+    through the line reader with its real line numbers, and so does the
+    rest of an input after a long run with no blank line.
     """
     _check_format(fmt)
-    if not (isinstance(stream, io.BufferedIOBase)
-            and cfg.punct_predicate is None
-            and cfg.empty_node_predicate is None and cfg.remove_empty_nodes):
-        for sentence in parse_treebank(stream, fmt, treebank_id, errors):
-            yield clean_sentence(sentence, cfg)
-        return
+    if isinstance(stream, bytes):
+        stream = io.BytesIO(stream)
+    elif isinstance(stream, str):
+        stream = io.StringIO(stream)    # breaks lines at "\n" only
+
+    def read() -> tuple[str, bool]:
+        """The next chunk of whole lines, and if it held a bad byte."""
+        chunk = stream.read(_CHUNK_BYTES) + stream.readline()
+        if isinstance(chunk, str):
+            return chunk, False
+        try:
+            return chunk.decode("utf-8"), False
+        except UnicodeDecodeError:
+            return chunk.decode("utf-8", "surrogateescape"), True
+
+    def rest_of_input(text, escaped):
+        while text:
+            yield from _lines(text, escaped)
+            text, escaped = read()
 
     def by_line(lines, first_line):
         for sentence in _parse_lines(lines, treebank_id, errors, first_line):
             yield clean_sentence(sentence, cfg)
 
+    default_rules = (cfg.punct_predicate is None
+                     and cfg.empty_node_predicate is None)
     punct, null = _PUNCT_RULES[cfg.scheme], _NULL_RULES.get(cfg.scheme)
-    line_no = 1                         # the line that ``rest`` starts on
-    rest = stream.read(len(_BOM_BYTES))
-    if rest == _BOM_BYTES:
-        rest = b""
+    chunk, escaped = read()
+    text, line_no = chunk.removeprefix(_BOM), 1     # text starts on line_no
     while True:
-        data = stream.read(_CHUNK_BYTES)
-        buf = rest + data
-        if data:
-            # cut after the last blank line; CRLF input has none, and goes
-            # to the line reader once it runs past the carry limit
-            end = buf.rfind(b"\n\n")
-            if end < 0:
-                if len(buf) <= _MAX_CARRY_BYTES:
-                    rest = buf
-                    continue
-                # no blank line in sight: read the rest line by line
-                lines = itertools.chain(io.BytesIO(buf + stream.readline()),
-                                        stream)
-                yield from by_line(_decoded(lines), line_no)
-                return
-            piece, rest = buf[:end + 2], buf[end + 2:]
-        else:
-            piece, rest = buf, b""
-        try:
-            text = piece.decode("utf-8")
-        except UnicodeDecodeError:
-            yield from by_line(_decoded(io.BytesIO(piece)), line_no)
-        else:
-            groups = text.split("\n\n")
-            last = len(groups) - 1
-            pos = 0                         # where ``group`` starts in text
-            first, counted = line_no, 0     # line ``first`` starts at counted
-            for k, group in enumerate(groups):
-                result = _clean_block(group, punct, null)
-                if result is None:
-                    first += text.count("\n", counted, pos)
-                    counted = pos
-                    # give back the blank line after every group but the
-                    # last, so that a block ends on the same line as it
-                    # does in the whole input
-                    yield from by_line(
-                        io.StringIO(group + "\n\n" if k < last else group),
-                        first)
-                elif result is not _NO_BLOCK:
-                    yield result
-                pos += len(group) + 2
-        if not data:
+        parts = _BLANK_RE.split(text)   # block, blank lines, ..., block
+        rest = parts.pop() if chunk else ""     # the last block may go on
+        pos = counted = 0               # where ``block`` starts in text
+        first = line_no                 # the line that starts at counted
+        for block, blank in itertools.zip_longest(parts[0::2], parts[1::2],
+                                                  fillvalue=""):
+            result = None
+            if default_rules and not (escaped and _holds_bad_byte(block)):
+                result = _clean_block(block, punct, null)
+            if result is None:
+                first += text.count("\n", counted, pos)
+                counted = pos
+                # with the blank lines after it, so that the block ends on
+                # the same line as it does in the whole input
+                yield from by_line(_lines(block + blank, escaped), first)
+            elif result is not _NO_BLOCK:
+                yield result
+            pos += len(block) + len(blank)
+        if not chunk:
             return
-        line_no += piece.count(b"\n")
+        line_no = first + text.count("\n", counted, pos)
+        escaped = escaped and _holds_bad_byte(rest)
+        if len(rest) > _MAX_CARRY_BYTES:
+            # no blank line in sight: read the rest line by line
+            yield from by_line(rest_of_input(rest, escaped), line_no)
+            return
+        chunk, bad = read()
+        text, escaped = rest + chunk, escaped or bad
+
+
+def _holds_bad_byte(text: str) -> bool:
+    """Whether ``text`` holds a byte that is not UTF-8 (surrogateescape)."""
+    return re.search("[\udc80-\udcff]", text) is not None
+
+
+def _lines(text: str, escaped: bool) -> Iterator[str | None]:
+    """``text``'s lines as the line reader takes them."""
+    if escaped:
+        return _decoded(io.BytesIO(text.encode("utf-8", "surrogateescape")))
+    return io.StringIO(text)
 
 
 _NO_BLOCK = object()     # _clean_block's answer for a group of no token line
@@ -473,22 +471,20 @@ _NO_BLOCK = object()     # _clean_block's answer for a group of no token line
 def _clean_block(group: str, punct: Callable[[str], bool],
                  null: Callable[[str], bool] | None):
     """``clean_sentence``'s result for the block in ``group``, lines with no
-    empty line among them, under the default rules ``punct`` (on the POS
+    blank line among them, under the default rules ``punct`` (on the POS
     column) and ``null`` (on FORM); ``_NO_BLOCK`` if it holds only comments.
     None, for ``parse_treebank`` to read it, unless every other line has ten
     columns, the regular ids are 1..k, the other ids are ranges or empty
     nodes, and each head is one of 0..k, written plainly, but not its own id.
     """
     start = 0
-    while group.startswith(("#", "\n"), start):   # leading comments
+    while group.startswith(("#", "\n"), start):   # and empty lines
         start = group.find("\n", start) + 1
         if not start:
             return _NO_BLOCK
     body = group[start:].rstrip("\n")
     if not body:
         return _NO_BLOCK
-    if "\r" in body:           # CRLF lines: read by line like any stray "\r"
-        return None
     if "\n#" in body:
         body = "\n".join(line for line in body.split("\n") if line[0] != "#")
     # one cell per column, and a "\n" cell between lines: then every line

@@ -12,9 +12,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-# numpy and the kernels are imported inside the functions that use them:
-# the analysis never enumerates, and importing numpy would double the
-# command line's start-up time.
+# numpy (the "sim" extra) and the kernels are imported inside the functions
+# that use them: the analysis never enumerates, runs without numpy, and
+# importing it would double the command line's start-up time.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -82,7 +82,7 @@ class LinearizedTree:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based endpoint arrays for the kernels."""
-        import numpy as np
+        from .kernels import np
 
         if not self.edges:
             return np.empty(0, np.int64), np.empty(0, np.int64)

@@ -366,3 +366,32 @@ def test_cli_import_leaves_heavy_modules_out():
                             capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.stdout == "[]\n"
+
+
+def test_analyze_runs_without_numpy(tmp_path):
+    """numpy comes with the "sim" extra: with it blocked, ``python -m
+    ddmtest.cli analyze`` writes the same report, and enumeration and
+    sampling say what to install."""
+    data, _ = _write_mixed_collection(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(ddmtest.__file__).resolve().parents[1]))
+    no_numpy = "import sys; sys.modules['numpy'] = None; "
+    analyze = ("import runpy, sys; sys.argv[1:] = ['analyze', '--input', "
+               f"{str(data)!r}]; runpy.run_module('ddmtest.cli', "
+               "run_name='__main__', alter_sys=True)")
+    normal, without = (subprocess.run([sys.executable, "-c", block + analyze],
+                                      capture_output=True, env=env)
+                       for block in ("", no_numpy))
+    assert normal.returncode == without.returncode == 0
+    assert without.stdout == normal.stdout != b""
+    assert without.stderr == normal.stderr
+    for call in ("enumerate_arrangements(tree)",
+                 "sample_random_arrangement(tree, 1)",
+                 "sample_distance_sums(tree, 5, 1)", "tree.edge_arrays()"):
+        code = (no_numpy + "from ddmtest import *; "
+                "tree = LinearizedTree(2, [(1, 2)])\n"
+                f"try:\n    {call}\nexcept ImportError as exc:\n"
+                "    print(exc)")
+        result = subprocess.run([sys.executable, "-c", code], check=True,
+                                capture_output=True, text=True, env=env)
+        assert "pip install 'ddmtest[sim]'" in result.stdout, call

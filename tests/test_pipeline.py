@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_tree, star_tree
+from conftest import brute_force_distribution, path_tree, star_tree
 from ddmtest import (
     Direction,
     LevelCounts,
@@ -24,7 +25,8 @@ from ddmtest import (
     tally_level,
 )
 from ddmtest import stats
-from ddmtest.pipeline import LanguageTally, _neglog10, fold_trees
+from ddmtest.pipeline import LanguageTally, _neglog10, fold_trees, \
+    success_probability
 
 N3_HIGH = LinearizedTree(3, [(1, 2), (1, 3)])     # D = 3
 N3_LOW = path_tree(3)                             # D = 2
@@ -254,6 +256,66 @@ class TestRunTests:
         counts = LevelCounts("xx", LevelSpec.N3_ALL, 5, 5, 0, 0)
         assert not run_tests(counts, Direction.ABOVE).adequately_sampled  # m*=8
         assert run_tests(counts, Direction.BELOW).adequately_sampled      # m*=3
+
+
+# each level's share of n = 3 trees, n = 4 stars and n = 4 paths under the
+# null; n4_all_real's star fraction is that of STAR_LANGUAGE
+LEVEL_SHAPES = {
+    LevelSpec.N3_ALL: (1, 0, 0),
+    LevelSpec.N4_ALL_REAL: (0, Fraction(2, 5), Fraction(3, 5)),
+    LevelSpec.N4_UNLABELLED: (0, Fraction(1, 2), Fraction(1, 2)),
+    LevelSpec.N4_LABELLED: (0, Fraction(1, 4), Fraction(3, 4)),
+    LevelSpec.N4_STAR: (0, 1, 0),
+    LevelSpec.N4_LINEAR: (0, 0, 1),
+}
+STAR_LANGUAGE = [STAR_END, STAR_MID, LIN_LOW, LIN_TIE, LIN_HIGH]
+
+
+def arranged(tree, d):
+    """The edges of an arrangement of ``tree`` whose D is ``d``."""
+    for perm in itertools.permutations(range(1, tree.n + 1)):
+        edges = [(perm[u - 1], perm[v - 1]) for u, v in tree.edges]
+        if sum(abs(u - v) for u, v in edges) == d:
+            return edges
+    raise ValueError(f"no arrangement with D = {d}")
+
+
+class TestNullCalibration:
+    @pytest.mark.parametrize("noncrossing", [False, True])
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("level", list(LevelSpec))
+    def test_counted_successes_carry_the_null_probability(
+            self, level, direction, noncrossing):
+        """Under the null (crossing-free under the diagnostic), the
+        arrangements a level counts as successes hold exactly its success
+        probability."""
+        counts = fold_trees(STAR_LANGUAGE).level_counts(level, "",
+                                                        noncrossing)
+        mass = Fraction(0)
+        for weight, tree in zip(LEVEL_SHAPES[level],
+                                [path_tree(3), star_tree(4), path_tree(4)]):
+            if not weight:
+                continue
+            dist = brute_force_distribution(tree, noncrossing)
+            total = sum(dist.values())
+            for d, count in dist.items():
+                one = LanguageTally()
+                one.add(tree.n, arranged(tree, d))
+                cell = one.level_counts(level, "", noncrossing)
+                g = (cell.g_above if direction is Direction.ABOVE
+                     else cell.g_below)
+                mass += weight * Fraction(count * g, total)
+        assert mass == success_probability(counts, direction, noncrossing)
+
+    def test_diagnostic_counts_a_path_at_five_above(self):
+        normal = tally_level([LIN_TIE], LevelSpec.N4_LINEAR)
+        diagnostic = tally_level([LIN_TIE], LevelSpec.N4_LINEAR,
+                                 noncrossing=True)
+        assert (normal.g_above, normal.ties) == (0, 1)
+        assert (diagnostic.g_above, diagnostic.ties) == (1, 0)
+        assert tally_level([STAR_END, STAR_MID], LevelSpec.N4_STAR,
+                           noncrossing=True) == tally_level(
+            [STAR_END, STAR_MID], LevelSpec.N4_STAR)
 
 
 class TestAnalyzeCollection:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -284,11 +285,6 @@ class TestPreprocess:
                      tok(2, 0, is_empty_node=True), tok(3, 2))
         assert preprocess(s) == LinearizedTree(3, [(1, 2), (2, 3)])
 
-    def test_keep_empty_nodes_flag(self):
-        cfg = PreprocessConfig(scheme=Scheme.PRAGUE, remove_empty_nodes=False)
-        s = sentence(tok(1, 0), tok(2, 1, form="NULL"), tok(3, 2))
-        assert preprocess(s, cfg) == LinearizedTree(3, [(1, 2), (2, 3)])
-
     def test_hamledt_null_removed_under_prague_scheme(self):
         cfg = PreprocessConfig(scheme=Scheme.PRAGUE)
         s = sentence(tok(1, 0), tok(2, 1, form="NULL"), tok(3, 2))
@@ -472,7 +468,7 @@ class TestGatherFiles:
             gather_files([tmp_path / "nope"])
 
 
-def reference_clean(data: bytes, fmt="conllu", cfg=PreprocessConfig()):
+def reference_clean(data, fmt="conllu", cfg=PreprocessConfig()):
     """Each sentence's fate and the parse errors, read line by line."""
     errors: list[ParseError] = []
     fates = [clean_sentence(s, cfg)
@@ -480,10 +476,25 @@ def reference_clean(data: bytes, fmt="conllu", cfg=PreprocessConfig()):
     return fates, errors
 
 
-def block_clean(data: bytes, fmt="conllu", cfg=PreprocessConfig()):
+def block_clean(data, fmt="conllu", cfg=PreprocessConfig()):
     errors: list[ParseError] = []
-    fates = list(clean_treebank(io.BytesIO(data), fmt, cfg, "t", errors))
+    fates = list(clean_treebank(data, fmt, cfg, "t", errors))
     return fates, errors
+
+
+INPUT_KINDS = ["binary stream", "bytes", "str", "text stream"]
+
+
+def as_input(data: bytes, kind: str):
+    """``data`` as one of the ``INPUT_KINDS``, and the content that input
+    holds: a ``str`` gets each byte that is not UTF-8 as a lone surrogate."""
+    content = data if kind in ("binary stream", "bytes") else \
+        data.decode("utf-8", "surrogateescape")
+    if kind == "binary stream":
+        return io.BytesIO(content), content
+    if kind == "text stream":
+        return io.StringIO(content), content
+    return content, content
 
 
 def token_line(i, head, form="w", pos="X"):
@@ -557,32 +568,40 @@ chunk_sizes = st.tuples(st.integers(1, 80), st.integers(1, 400))
 
 class TestCleanTreebank:
     @given(noisy_inputs(), st.sampled_from(list(Scheme)),
-           st.sampled_from(["conllu", "conllx"]), chunk_sizes)
+           st.sampled_from(["conllu", "conllx"]), chunk_sizes,
+           st.sampled_from(INPUT_KINDS))
     @settings(max_examples=400, deadline=None)
-    def test_matches_line_by_line(self, data, scheme, fmt, sizes):
+    def test_matches_line_by_line(self, data, scheme, fmt, sizes, kind):
         cfg = PreprocessConfig(scheme=scheme)
+        stream, content = as_input(data, kind)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
             mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
-            got = block_clean(data, fmt, cfg)
-        assert got == reference_clean(data, fmt, cfg)
+            got = block_clean(stream, fmt, cfg)
+        assert got == reference_clean(content, fmt, cfg)
 
-    @given(noisy_inputs(), st.sampled_from(list(Scheme)))
+    @given(noisy_inputs(), st.sampled_from(list(Scheme)),
+           st.sampled_from(INPUT_KINDS))
     @settings(max_examples=100, deadline=None)
-    def test_matches_line_by_line_at_full_size(self, data, scheme):
+    def test_matches_line_by_line_at_full_size(self, data, scheme, kind):
         cfg = PreprocessConfig(scheme=scheme)
-        assert block_clean(data, cfg=cfg) == reference_clean(data, cfg=cfg)
+        stream, content = as_input(data, kind)
+        assert block_clean(stream, cfg=cfg) == reference_clean(content,
+                                                               cfg=cfg)
 
-    @given(noisy_inputs(), st.sampled_from(list(Scheme)), chunk_sizes)
+    @given(noisy_inputs(), st.sampled_from(list(Scheme)), chunk_sizes,
+           st.sampled_from(INPUT_KINDS))
     @settings(max_examples=100, deadline=None)
-    def test_cli_fold_matches_line_by_line_fold(self, data, scheme, sizes):
+    def test_cli_fold_matches_line_by_line_fold(self, data, scheme, sizes,
+                                                kind):
         cfg = PreprocessConfig(scheme=scheme)
+        stream, content = as_input(data, kind)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
             mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
             tally, exclusions, shown = cli._fold_stream(
-                io.BytesIO(data), "conllu", cfg, "t")
-        fates, errors = reference_clean(data, cfg=cfg)
+                stream, "conllu", cfg, "t")
+        fates, errors = reference_clean(content, cfg=cfg)
         reference = LanguageTally()
         for fate in fates:
             if not isinstance(fate, ExclusionReason):
@@ -610,17 +629,22 @@ class TestCleanTreebank:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_well_formed_blocks_take_no_line_reader(self, scheme, by_line):
+        # blank lines are empty or whitespace-only, as for the line reader
         text = "\ufeff# sent_id = a\n# text = a b\n" + "\n".join([
             "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_", token_line(1, 3),
             "0.1\tE\t_\t_\t_\t_\t_\t_\t_\t_", token_line(2, 3, pos="PUNCT"),
             token_line(3, 0, form="NULL"), "# comment", token_line(4, 3),
-            "4.1\tE\t_\t_\t_\t_\t_\t_\t_\t_"]) + "\n\n\n" + "\n".join([
-                token_line(1, 2), token_line(2, 0), token_line(3, 2)])
+            "4.1\tE\t_\t_\t_\t_\t_\t_\t_\t_", "", "",
+            token_line(1, 2), token_line(2, 0), token_line(3, 2), " \t",
+            token_line(1, 0), "\u2028", token_line(1, 0), token_line(2, 1)])
         cfg = PreprocessConfig(scheme=scheme)
-        fates, errors = block_clean(text.encode(), cfg=cfg)
-        assert by_line == []
-        assert (fates, errors) == reference_clean(text.encode(), cfg=cfg)
-        assert errors == [] and len(fates) == 2
+        for kind in INPUT_KINDS:
+            stream, content = as_input(text.encode(), kind)
+            by_line.clear()     # the reference reads by line
+            fates, errors = block_clean(stream, cfg=cfg)
+            assert by_line == [], kind
+            assert (fates, errors) == reference_clean(content, cfg=cfg)
+            assert errors == [] and len(fates) == 4
 
     @pytest.mark.parametrize("lines", [
         [token_line(1, 0), "1\tonly\tthree"],
@@ -637,9 +661,9 @@ class TestCleanTreebank:
         [token_line(1, "01")],
         [token_line(1, 0), token_line(2, 3)],                # above k
         [token_line(1, 0), token_line(2, 2)],                # own head
-        [token_line(1, 0), "\u2028", token_line(1, 0)],
+        [token_line(1, "0\r")],                              # "\r" in HEAD
         [token_line(1, 0), "\ufeff" + token_line(2, 1)],
-        [token_line(1, 0), " \t", token_line(1, 0)],
+        [token_line(i, i - 1) for i in range(1, 1026)],      # 1,025 ids
     ])
     def test_each_fallback_reads_by_line(self, lines, by_line):
         data = ("\n".join([token_line(1, 0), ""] + lines
@@ -649,19 +673,34 @@ class TestCleanTreebank:
         assert got == reference_clean(data)
 
     def test_invalid_utf8_chunk_reads_by_line(self, by_line):
-        data = (token_line(1, 0) + "\n\n").encode() + b"1\t\xff" + \
-            token_line(1, 0)[1:].encode()
+        # only the blocks holding a byte that is not UTF-8, in a token line
+        # or in a comment, go to the line reader
+        data = "\n".join([token_line(1, 0), "", "1\t\udcff" + token_line(
+            1, 0)[1:], "", token_line(1, 0), "", "# \udcff", token_line(1, 0)]
+        ).encode("utf-8", "surrogateescape")
         fates, errors = block_clean(data)
-        assert by_line == [3]
+        assert by_line == [3, 7]
         assert (fates, errors) == reference_clean(data)
-        assert [(e.line_no, e.message) for e in errors] == [(3, "invalid UTF-8")]
+        assert fates == [(1, [])] * 2
+        assert [(e.line_no, e.message) for e in errors] == [
+            (3, "invalid UTF-8"), (7, "invalid UTF-8")]
 
-    def test_crlf_reads_by_line(self, by_line):
-        data = (token_line(1, 0) + "\r\n\r\n" + token_line(1, 0)
+    def test_crlf_takes_column_reader(self, by_line):
+        data = ("# sent_id = a\r\n" + token_line(1, 0) + "\r\n\r\n"
+                + token_line(1, 0) + "\r\n" + token_line(2, 1)
                 + "\r\n").encode()
         got = block_clean(data)
-        assert by_line == [1]           # no "\n\n" to cut at: all by line
-        assert got == reference_clean(data)
+        assert by_line == []
+        assert got == reference_clean(data) == ([(1, []), (2, [(2, 1)])], [])
+
+    def test_bom_only_stripped_at_input_start(self, monkeypatch):
+        monkeypatch.setattr(treebank, "_CHUNK_BYTES", 1)   # a line a chunk
+        text = "\ufeff" + token_line(1, 0) + "\n \n\ufeff" + token_line(1, 0)
+        for kind in INPUT_KINDS:
+            stream, content = as_input(text.encode(), kind)
+            fates, errors = block_clean(stream)
+            assert (fates, errors) == reference_clean(content)
+            assert fates == [(1, [])] and errors[0].line_no == 3, kind
 
     def test_run_without_blank_line_reads_rest_by_line(self, by_line,
                                                        monkeypatch):
@@ -675,9 +714,39 @@ class TestCleanTreebank:
         assert (fates, errors) == reference_clean(data)
         assert [e.line_no for e in errors] == [11]
 
-    def test_custom_rules_and_text_streams_read_by_line(self, by_line):
-        text = token_line(1, 0) + "\n" + token_line(2, 1, pos="P") + "\n"
+    @pytest.mark.parametrize("limit", [None, 1 << 40],
+                             ids=["carry limit", "no carry limit"])
+    def test_run_without_blank_line_keeps_memory_flat(self, limit,
+                                                      monkeypatch):
+        """The peak for an 8 MiB run with no blank line is that of a 2 MiB
+        run. A broken first line makes the line reader skip the rest, so
+        only the reading loop can hold the run; with no carry limit
+        (``limit``) it holds all of it."""
+        if limit is not None:
+            monkeypatch.setattr(treebank, "_MAX_CARRY_BYTES", limit)
+        line = token_line(1, 0, form="w" * 1000) + "\n"
+
+        def peak(mib):
+            data = ("1\tbroken\n" + line * (mib * 1024 * 1024 // len(line))
+                    ).encode()
+            tracemalloc.start()
+            try:
+                fates, errors = block_clean(data)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (fates, len(errors)) == ([], 1)
+            return top
+
+        grows = peak(8) - peak(2)
+        if limit is None:
+            assert grows < 1 << 20
+        else:
+            assert grows > 1 << 20      # the check sees a loop without it
+
+    def test_custom_rules_read_by_line(self, by_line):
+        text = (token_line(1, 0) + "\n" + token_line(2, 1, pos="P") + "\n\n"
+                + token_line(1, 0) + "\n")
         cfg = PreprocessConfig(punct_predicate=lambda t: t.pos == "P")
-        assert block_clean(text.encode(), cfg=cfg) == ([(1, [])], [])
-        assert list(clean_treebank(io.StringIO(text))) == [(2, [(2, 1)])]
-        assert by_line == [1, 1]
+        assert block_clean(text.encode(), cfg=cfg) == ([(1, []), (1, [])], [])
+        assert by_line == [1, 4]
