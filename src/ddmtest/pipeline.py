@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -117,6 +118,22 @@ _LEVEL_ROWS = {
 }
 
 
+def _cell(n: int, edges) -> int:
+    """The index in ``LanguageTally.cells`` of a tree on positions 1..n, for
+    n = 3 or 4, with the given edges in any order and orientation."""
+    if n == 3:
+        row = 0
+    else:
+        (a, b), e2, e3 = edges        # a star's three edges share a vertex
+        row = 1 if (a in e2 and a in e3) or (b in e2 and b in e3) else 2
+    d = 0
+    for u, v in edges:
+        d += abs(u - v)
+    num, den = _MEAN_D[n]
+    diff = d * den - num
+    return 3 * row + (0 if diff > 0 else 1 if diff < 0 else 2)
+
+
 class LanguageTally:
     """One language's trees, reduced to what the six levels need.
 
@@ -133,19 +150,8 @@ class LanguageTally:
     def add(self, n: int, edges) -> None:
         """Fold in one tree on positions 1..n with the given edges."""
         self.trees += 1
-        if n == 3:
-            row = 0
-        elif n == 4:
-            (a, b), e2, e3 = edges        # a star's three edges share a vertex
-            row = 1 if (a in e2 and a in e3) or (b in e2 and b in e3) else 2
-        else:
-            return
-        d = 0
-        for u, v in edges:
-            d += abs(u - v)
-        num, den = _MEAN_D[n]
-        diff = d * den - num
-        self.cells[3 * row + (0 if diff > 0 else 1 if diff < 0 else 2)] += 1
+        if n == 3 or n == 4:
+            self.cells[_cell(n, edges)] += 1
 
     def merge(self, other: LanguageTally) -> None:
         """Fold in another tally of the same language."""
@@ -171,10 +177,24 @@ class LanguageTally:
 
 
 def fold_trees(trees: Iterable[LinearizedTree]) -> LanguageTally:
-    """One language's trees folded into a tally."""
-    tally = LanguageTally()
+    """One language's trees folded into a tally, each distinct n = 3 or 4
+    tree classified once: a tree's ``edges`` are normalised, so equal trees
+    have equal edges, n - 1 of them. Longer trees are only counted, not
+    hashed, so a collection of long sentences folds no slower than one
+    ``LanguageTally.add`` per tree."""
+    total = 0
+    counted: dict[tuple, int] = {}
+    get = counted.get
     for tree in trees:
-        tally.add(tree.n, tree.edges)
+        total += 1
+        n = tree.n
+        if n == 3 or n == 4:
+            edges = tree.edges
+            counted[edges] = get(edges, 0) + 1
+    tally = LanguageTally()
+    tally.trees = total
+    for edges, count in counted.items():
+        tally.cells[_cell(len(edges) + 1, edges)] += count
     return tally
 
 
@@ -250,8 +270,12 @@ def _neglog10(log10_value: float) -> float:
 def _holm_finalize(pre: list[TestResult], alpha: float) -> list[TestResult]:
     adjusted, rejected = stats.holm_adjust_log10(
         [r.log10_p_value for r in pre], alpha)
-    return [replace(r, p_holm=10.0 ** adj, significant=rej,
-                    neglog10_holm=_neglog10(adj))
+    return [TestResult(language=r.language, family=r.family, level=r.level,
+                       direction=r.direction, m=r.m, g=r.g, p=r.p,
+                       p_value=r.p_value, log10_p_value=r.log10_p_value,
+                       adequately_sampled=r.adequately_sampled,
+                       p_holm=10.0 ** adj, significant=rej,
+                       neglog10_holm=_neglog10(adj))
             for r, adj, rej in zip(pre, adjusted, rejected)]
 
 
@@ -349,8 +373,11 @@ _CSV_HEADER = ("collection,level,direction,language,family,m,g,p_used,"
                "l0,l,f,f_H")
 
 
+_CSV_SPECIAL_RE = re.compile('[,"\n]')
+
+
 def _csv_quote(value: str) -> str:
-    if any(c in value for c in ',"\n'):
+    if _CSV_SPECIAL_RE.search(value):
         return '"' + value.replace('"', '""') + '"'
     return value
 

@@ -16,6 +16,8 @@ from fractions import Fraction
 _LOG_STOP = math.log(1e-18)  # geometric remainder below this of the sum: stop
 _EXACT_COMB_LIMIT = 1024  # up to here, log C(m,f) comes from the exact integer
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a double into halves
+# below this, an integer times a half of a split double is an exact double
+_EXACT_PIECE_LIMIT = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,14 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     Terms are summed from f = g upward; once past the distribution mode the
     remainder is bounded by a geometric series and the sum stops when that
     bound is negligible, so large m stays cheap without losing accuracy.
-    Each term is log C(m, f) + f log p + (m - f) log(1 - p), with both
-    products carried as Dekker pairs (the rounded product and its exact
-    error) and the five parts summed exactly by ``math.fsum``. Up to m = 1024,
-    log C(m, f) is the log of the exact integer, updated term by term.
+    Each term is log C(m, f) + f log p + (m - f) log(1 - p), correctly
+    rounded by ``math.fsum`` from exact parts: log p and log(1 - p) are each
+    split into two 26-bit halves, and below m = 2**26 an integer times a
+    half is exact, so the four products are summed as they are; from
+    m = 2**26 on, each product is carried as a Dekker pair (the rounded
+    product and its exact error) instead. Both forms hand ``fsum`` the same
+    real sum. Up to m = 1024, log C(m, f) is the log of the exact integer,
+    updated term by term.
     """
     if g <= 0:
         return 0.0
@@ -81,28 +87,34 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     else:
         lgamma = math.lgamma
         lgamma_m = lgamma(m + 1)
+    pieces = m < _EXACT_PIECE_LIMIT
     log, log1p, exp, fsum = math.log, math.log1p, math.exp, math.fsum
-    acc = -math.inf
+    acc = ninf = -math.inf
     for f in range(g, m + 1):
         if exact:
             lc = log(comb)
             comb = comb * (m - f) // (f + 1)
         else:
             lc = lgamma_m - lgamma(f + 1) - lgamma(m - f + 1)
-        a = float(f)
-        t1 = a * lp
-        c = _SPLIT * a
-        a_hi = c - (c - a)
-        a_lo = a - a_hi
-        e1 = ((a_hi * lp_hi - t1) + a_hi * lp_lo + a_lo * lp_hi) + a_lo * lp_lo
-        a = float(m - f)
-        t2 = a * lq
-        c = _SPLIT * a
-        a_hi = c - (c - a)
-        a_lo = a - a_hi
-        e2 = ((a_hi * lq_hi - t2) + a_hi * lq_lo + a_lo * lq_hi) + a_lo * lq_lo
-        lt = fsum((lc, t1, e1, t2, e2))  # finite: lc >= 0, the rest finite
-        if acc == -math.inf:
+        a, b = float(f), float(m - f)
+        if pieces:
+            # finite: lc >= 0, the rest finite
+            lt = fsum((lc, a * lp_hi, a * lp_lo, b * lq_hi, b * lq_lo))
+        else:
+            t1 = a * lp
+            c = _SPLIT * a
+            a_hi = c - (c - a)
+            a_lo = a - a_hi
+            e1 = (((a_hi * lp_hi - t1) + a_hi * lp_lo + a_lo * lp_hi)
+                  + a_lo * lp_lo)
+            t2 = b * lq
+            c = _SPLIT * b
+            b_hi = c - (c - b)
+            b_lo = b - b_hi
+            e2 = (((b_hi * lq_hi - t2) + b_hi * lq_lo + b_lo * lq_hi)
+                  + b_lo * lq_lo)
+            lt = fsum((lc, t1, e1, t2, e2))
+        if acc == ninf:
             acc = lt
         elif acc < lt:
             acc = lt + log1p(exp(acc - lt))

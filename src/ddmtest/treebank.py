@@ -27,6 +27,7 @@ _N_COLUMNS = 10
 _BOM = "\ufeff"
 _CHUNK_BYTES = 1 << 18      # clean_treebank reads about this much at a time
 _MAX_CARRY_BYTES = 1 << 20  # a longer run without a blank line is read by line
+_MAX_BLOCK_TOKENS = 1 << 14  # a block with more token lines is a parse error
 # a block's regular ids, and each head's token index (-1 for the root), as
 # the column reader takes them: a block longer than this is read by line
 _IDS = [str(i) for i in range(1, 1025)]
@@ -202,9 +203,10 @@ def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
     ``stream`` may be a text or binary file object, an iterable of lines, or
     the file content itself (``str`` or ``bytes``); it is read line by line.
     A leading UTF-8 byte order mark is ignored. A malformed sentence,
-    including one with a line that is not valid UTF-8, is recorded in
-    ``errors`` (one entry, naming ``treebank_id`` and the first offending
-    line) and skipped; parsing continues with the next sentence.
+    including one with a line that is not valid UTF-8 or with more than
+    ``_MAX_BLOCK_TOKENS`` token lines, is recorded in ``errors`` (one entry,
+    naming ``treebank_id`` and the first offending line) and skipped;
+    parsing continues with the next sentence.
     """
     _check_format(fmt)
     yield from _parse_lines(_iter_lines(stream), treebank_id, errors)
@@ -225,6 +227,7 @@ def _parse_lines(lines: Iterable[str | None], treebank_id: str,
     last_id = 0          # last regular token id, for the increasing-id check
     ordered = True
     ordinal = 0
+    cap = _MAX_BLOCK_TOKENS
 
     def flush():
         nonlocal tokens, sent_id, bad, last_id, ordered, ordinal
@@ -264,6 +267,10 @@ def _parse_lines(lines: Iterable[str | None], treebank_id: str,
                 sent_id = value.strip()
             continue
         if bad is not None:
+            continue
+        if len(tokens) >= cap:
+            bad = ParseError(line_no, f"more than {cap} tokens", treebank_id)
+            tokens = []
             continue
         try:
             token = _parse_token(line.split("\t"))
@@ -474,8 +481,9 @@ def _clean_block(group: str, punct: Callable[[str], bool],
     blank line among them, under the default rules ``punct`` (on the POS
     column) and ``null`` (on FORM); ``_NO_BLOCK`` if it holds only comments.
     None, for ``parse_treebank`` to read it, unless every other line has ten
-    columns, the regular ids are 1..k, the other ids are ranges or empty
-    nodes, and each head is one of 0..k, written plainly, but not its own id.
+    columns, there are at most ``_MAX_BLOCK_TOKENS`` of them, the regular
+    ids are 1..k, the other ids are ranges or empty nodes, and each head is
+    one of 0..k, written plainly, but not its own id.
     """
     start = 0
     while group.startswith(("#", "\n"), start):   # and empty lines
@@ -490,6 +498,8 @@ def _clean_block(group: str, punct: Callable[[str], bool],
     # one cell per column, and a "\n" cell between lines: then every line
     # has ten columns if the "\n" cells fall every eleventh
     k = body.count("\n") + 1
+    if k > _MAX_BLOCK_TOKENS:
+        return None
     cells = body.replace("\n", "\t\n\t").split("\t")
     if len(cells) != 11 * k - 1 or cells[10::11].count("\n") != k - 1:
         return None

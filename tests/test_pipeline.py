@@ -25,8 +25,8 @@ from ddmtest import (
     tally_level,
 )
 from ddmtest import stats
-from ddmtest.pipeline import LanguageTally, _neglog10, fold_trees, \
-    success_probability
+from ddmtest.pipeline import LanguageTally, _csv_quote, _neglog10, \
+    fold_trees, success_probability
 
 N3_HIGH = LinearizedTree(3, [(1, 2), (1, 3)])     # D = 3
 N3_LOW = path_tree(3)                             # D = 2
@@ -112,9 +112,10 @@ class TestTallyLevel:
 
 
 @st.composite
-def shuffled_trees(draw):
-    """A tree with n = 3, 4 or 5 words in a random arrangement."""
-    n = draw(st.integers(3, 5))
+def shuffled_trees(draw, sizes=st.integers(3, 5)):
+    """A tree with n = 3, 4 or 5 words (or n drawn from ``sizes``) in a
+    random arrangement."""
+    n = draw(sizes)
     parents = [draw(st.integers(1, i - 1)) for i in range(2, n + 1)]
     place = draw(st.permutations(range(1, n + 1)))
     return LinearizedTree(n, [(place[p - 1], place[i - 1])
@@ -182,6 +183,20 @@ class TestLanguageTally:
         assert back.trees == tally.trees
         for level in LevelSpec:
             assert back.level_counts(level) == tally.level_counts(level)
+
+    @given(st.lists(shuffled_trees(st.integers(1, 6)), min_size=1,
+                    max_size=8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fold_equals_adding_each_tree(self, distinct, data):
+        picks = data.draw(st.lists(st.sampled_from(distinct), max_size=80))
+        # equal trees, built anew from their edges in another order
+        trees = [LinearizedTree(t.n, t.edges[::-1]) for t in picks]
+        each = LanguageTally()
+        for tree in trees:
+            each.add(tree.n, tree.edges)
+        folded = fold_trees(trees)
+        assert (folded.cells, folded.trees) == (each.cells, each.trees)
+        assert folded.trees == len(trees)
 
     def test_other_lengths_only_count_as_trees(self):
         tally = LanguageTally()
@@ -507,6 +522,12 @@ class TestEmitReport:
     def test_neglog10_of_unit_p(self):
         assert _neglog10(0.0) == 0.0
         assert str(_neglog10(0.0)) == "0.0"  # never -0.0
+
+    @given(st.text(st.sampled_from(',"\n\r a\u2028') | st.characters()))
+    def test_csv_quote_matches_the_character_rule(self, value):
+        quoted = '"' + value.replace('"', '""') + '"'
+        assert _csv_quote(value) == (
+            quoted if any(c in value for c in ',"\n') else value)
 
     def test_csv_quotes_awkward_names(self):
         report = analyze_collection({'we,ird "name"': [N3_HIGH]},

@@ -216,6 +216,24 @@ class TestTailMatchesReference:
             for g in self.grid_gs(m, p):
                 assert_bit_identical(g, m, p)
 
+    @pytest.mark.parametrize("m", [(1 << 26) - 1, 1 << 26, (1 << 26) + 5,
+                                   1 << 40])
+    def test_exact_piece_limit(self, m):
+        # below m = 2**26 the tail sums the products of f and the halves of
+        # log p as they are; from there on, as Dekker pairs
+        for p in self.grid_ps():
+            for g in (m - 2, m - 1, m):
+                assert_bit_identical(g, m, p)
+
+    def test_large_products_carry_their_errors(self):
+        # past the mode the stop rule ends each of these after a few terms,
+        # in which f, m - f or both have more than 26 bits
+        m = (1 << 40) + 12345
+        for g, p in [(2000, Fraction(1, 1 << 30)),
+                     (m - 900, 1 - Fraction(1, 1 << 30)),
+                     (1 << 27, Fraction(1, 1 << 14))]:
+            assert_bit_identical(g, m, p)
+
     @given(st.integers(1, 400), st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_rational(self, m, data):

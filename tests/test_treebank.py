@@ -744,6 +744,75 @@ class TestCleanTreebank:
         else:
             assert grows > 1 << 20      # the check sees a loop without it
 
+    @given(noisy_inputs(), st.sampled_from(list(Scheme)), chunk_sizes,
+           st.integers(0, 8), st.sampled_from(INPUT_KINDS))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_line_by_line_under_small_block_cap(self, data, scheme,
+                                                        sizes, cap, kind):
+        cfg = PreprocessConfig(scheme=scheme)
+        stream, content = as_input(data, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
+            mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
+            mp.setattr(treebank, "_MAX_BLOCK_TOKENS", cap)
+            got = block_clean(stream, cfg=cfg)
+            want = reference_clean(content, cfg=cfg)
+        assert got == want
+
+    @pytest.mark.parametrize("sizes", [None, (16, 16)],
+                             ids=["by block", "rest by line"])
+    def test_block_past_token_cap_is_one_parse_error(self, sizes,
+                                                     monkeypatch):
+        monkeypatch.setattr(treebank, "_MAX_BLOCK_TOKENS", 4)
+        if sizes is not None:
+            monkeypatch.setattr(treebank, "_CHUNK_BYTES", sizes[0])
+            monkeypatch.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
+        lines = ([token_line(1, 0), "", "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_"]
+                 + [token_line(i, i - 1) for i in range(1, 7)]  # lines 4-9
+                 + ["# comment", token_line(7, 6), "",
+                    token_line(1, 0), token_line(2, 1)])
+        for kind in INPUT_KINDS:
+            stream, content = as_input("\n".join(lines).encode(), kind)
+            fates, errors = block_clean(stream)
+            assert (fates, errors) == reference_clean(content), kind
+            assert fates == [(1, []), (2, [(2, 1)])], kind
+            # the range line is the first of the four tokens held
+            assert [(e.line_no, e.message) for e in errors] == [
+                (7, "more than 4 tokens")], kind
+
+    @pytest.mark.parametrize("cap", [1024, 1 << 40],
+                             ids=["block cap", "no block cap"])
+    def test_run_of_token_lines_keeps_memory_flat(self, cap, monkeypatch):
+        """The peak for a run of 40,000 valid token lines with no blank
+        line is that of a run of 10,000: the line reader drops a block's
+        tokens at the cap. With no cap it holds every one of them."""
+        monkeypatch.setattr(treebank, "_MAX_BLOCK_TOKENS", cap)
+        monkeypatch.setattr(treebank, "_MAX_CARRY_BYTES", 1 << 12)
+
+        def peak(tokens):
+            data = "".join(token_line(i, i - 1) + "\n"
+                           for i in range(1, tokens + 1))
+            data = (data + "\n" + token_line(1, 0)).encode()
+            tracemalloc.start()
+            try:
+                fates, errors = block_clean(data)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if cap < tokens:
+                assert fates == [(1, [])]
+                assert [(e.line_no, e.message) for e in errors] == [
+                    (cap + 1, f"more than {cap} tokens")]
+            else:
+                assert len(fates) == 2 and errors == []
+            return top
+
+        grows = peak(40_000) - peak(10_000)
+        if cap < 10_000:
+            assert grows < 1 << 20
+        else:
+            assert grows > 1 << 20      # the check sees a reader without it
+
     def test_custom_rules_read_by_line(self, by_line):
         text = (token_line(1, 0) + "\n" + token_line(2, 1, pos="P") + "\n\n"
                 + token_line(1, 0) + "\n")
