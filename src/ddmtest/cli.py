@@ -2,14 +2,15 @@
 
 Reads treebank files (or stdin) in one streaming pass that folds each
 cleaned sentence into its language's tally, then runs the six-level
-analysis and writes the report. Files are folded on a pool of forked
-workers, one per usable CPU up to one per file and at most eight, and
-merged in file order, so the report and stderr do not depend on the
-worker count. With one file or one usable CPU, in a process that runs
-other threads, or where the platform cannot fork, the files are folded
-in-process. Stderr shows at most 20 parse errors per input, then a count
-of the rest. Exit codes: 0 success, 1 argument/format error, 2 empty
-collection (nothing survived preprocessing).
+analysis and writes the report. The files are dealt by size into one
+share per worker, one worker per usable CPU up to one per file and at most
+eight: this process folds the first share and a forked child each other
+one. The results are merged in file order, so the report and stderr do
+not depend on the worker count. With one file or one usable CPU, in a
+process that runs other threads, or where the platform cannot fork, the
+files are folded in-process. Stderr shows at most 20 parse errors per
+input, then a count of the rest. Exit codes: 0 success, 1 argument/format
+error, 2 empty collection (nothing survived preprocessing).
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _fold_stream(stream, fmt: str, cfg: PreprocessConfig, tag: str):
 
 
 def _fold_file(path: Path, fmt: str, cfg: PreprocessConfig):
-    """``_fold_stream`` over one file; runs in a worker process."""
+    """``_fold_stream`` over one file."""
     with open(path, "rb") as fh:
         return _fold_stream(fh, fmt, cfg, str(path))
 
@@ -157,43 +158,108 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _deal(paths: list[Path], workers: int) -> list[list[int]]:
+    """The indices of ``paths`` in ``workers`` shares, each share in path
+    order: largest file first, each to the share with the fewest bytes."""
+    sizes = []
+    for path in paths:
+        try:
+            sizes.append(path.stat().st_size)
+        except OSError:         # the fold reports it in order
+            sizes.append(0)
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(paths)), key=sizes.__getitem__, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += sizes[i]
+    return [sorted(share) for share in shares]
+
+
+def _fold_share(paths: list[Path], share: list[int], fmt: str,
+                cfg: PreprocessConfig) -> dict:
+    """``_fold_file`` of each path in ``share`` by index, in order, up to
+    the first that fails, which gives its exception instead: no file after
+    it is merged."""
+    folded = {}
+    for i in share:
+        try:
+            folded[i] = _fold_file(paths[i], fmt, cfg)
+        except Exception as exc:    # raised again where it is merged
+            folded[i] = exc
+            break
+    return folded
+
+
+def _fold_forked(paths: list[Path], shares: list[list[int]], fmt: str,
+                 cfg: PreprocessConfig) -> dict:
+    """``_fold_share`` of every share, merged: the first share in this
+    process, each other one in a forked child that sends its results back
+    as one pickle down its own pipe. A child that ends without sending them
+    gives each file of its share a ``ChildProcessError``; no child outlives
+    the call."""
+    # imported here, as a run on one file needs neither
+    import pickle
+    import signal
+
+    pids, ends = [], []         # each child's pid and its pipe's read end
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            ends.append(r)
+            with open(w, "wb") as pipe:     # this process's copy closes
+                pid = os.fork()
+                if pid == 0:    # the child: fold, send, and never return
+                    status = 1
+                    try:
+                        pickle.dump(_fold_share(paths, share, fmt, cfg), pipe)
+                        pipe.close()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        folded = _fold_share(paths, shares[0], fmt, cfg)
+        for share, r in zip(shares[1:], ends):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if status == 0:
+                folded.update(pickle.loads(data))
+                continue
+            how = (f"killed by signal {-status}" if status < 0
+                   else f"exit status {status}")
+            folded.update(dict.fromkeys(share, ChildProcessError(
+                f"the worker folding {paths[share[0]]} died before sending "
+                f"its results ({how})")))
+        return folded
+    finally:
+        for r in ends:
+            os.close(r)
+        for pid in pids:        # left only by an error in this process
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _fold_files(paths: list[Path], fmt: str, cfg: PreprocessConfig):
     """Yield each path with its ``_fold_file``, in the order of ``paths``.
 
-    The files are folded on a pool of forked workers, largest file first,
-    when there are several files and CPUs. The pool forks: the workers
-    inherit the imported package instead of importing it again. A process
-    with other threads must not fork, so it folds in-process, as it does
-    where the platform cannot fork.
+    With several files and CPUs, the files are dealt by size to one share
+    per worker; this process folds the first share and a forked child each
+    other one. Forked children inherit the imported package instead of
+    importing it again. A process with other threads must not fork, so it
+    folds in-process, as it does where the platform cannot fork. The first
+    file that fails raises its error once the files before it are yielded.
     """
     workers = min(_usable_cpus(), len(paths), MAX_WORKERS)
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            def size(path):
-                try:
-                    return path.stat().st_size
-                except OSError:         # the worker reports it in order
-                    return 0
-
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                futures = [None] * len(paths)
-                for i in sorted(range(len(paths)),
-                                key=lambda i: size(paths[i]), reverse=True):
-                    futures[i] = pool.submit(_fold_file, paths[i], fmt, cfg)
-                for path, future in zip(paths, futures):
-                    yield path, future.result()
-            finally:
-                # after a failed file, fold no more than the running ones
-                pool.shutdown(cancel_futures=True)
-            return
-    for path in paths:
-        yield path, _fold_file(path, fmt, cfg)
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        for path in paths:
+            yield path, _fold_file(path, fmt, cfg)
+        return
+    folded = _fold_forked(paths, _deal(paths, workers), fmt, cfg)
+    for i, path in enumerate(paths):
+        if isinstance(folded[i], Exception):
+            raise folded[i]
+        yield path, folded[i]
 
 
 def _load_inputs(args, cfg: PreprocessConfig):

@@ -238,13 +238,16 @@ def success_probability(counts: LevelCounts, direction: Direction,
 
 def run_tests(counts: LevelCounts, direction: Direction, alpha: float = 0.05,
               noncrossing: bool = False, family: str = UNKNOWN_FAMILY,
-              min_sizes: dict | None = None) -> TestResult:
+              min_sizes: dict | None = None,
+              p: Fraction | None = None) -> TestResult:
     """One pre-Holm binomial test for one language at one (level, direction).
 
-    ``min_sizes`` memoises ``stats.min_sample_size`` by (p, alpha) for a
-    caller that runs many tests.
+    A caller that runs many tests may pass ``p``, the
+    ``success_probability`` of this test, and ``min_sizes``, which memoises
+    ``stats.min_sample_size`` by p for this ``alpha``.
     """
-    p = success_probability(counts, direction, noncrossing)
+    if p is None:
+        p = success_probability(counts, direction, noncrossing)
     g = counts.g_above if direction is Direction.ABOVE else counts.g_below
     if counts.m == 0 or p is None:
         return TestResult(language=counts.language, family=family,
@@ -253,9 +256,9 @@ def run_tests(counts: LevelCounts, direction: Direction, alpha: float = 0.05,
                           log10_p_value=0.0, adequately_sampled=False)
     log10_p = stats.log_binomial_upper_tail(g, counts.m, p) / _LN10
     memo = {} if min_sizes is None else min_sizes
-    min_size = memo.get((p, alpha))
+    min_size = memo.get(p)
     if min_size is None:
-        min_size = memo[p, alpha] = stats.min_sample_size(p, alpha)
+        min_size = memo[p] = stats.min_sample_size(p, alpha)
     adequate = counts.m >= min_size
     return TestResult(language=counts.language, family=family,
                       level=counts.level, direction=direction,
@@ -337,9 +340,14 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
         counts = {lang: tallies[lang].level_counts(level, lang, noncrossing)
                   for lang in languages}
         for direction in directions:
+            # one p for the level, but one per language for the real
+            # ensemble, whose star fraction is the language's own
+            p = None if level is LevelSpec.N4_ALL_REAL else \
+                success_probability(counts[languages[0]], direction,
+                                    noncrossing)
             pre = [run_tests(counts[lang], direction, alpha, noncrossing,
                              family=families.get(lang, UNKNOWN_FAMILY),
-                             min_sizes=min_sizes)
+                             min_sizes=min_sizes, p=p)
                    for lang in languages if counts[lang].m >= 1]
             l0 = len(pre)
             l = sum(r.adequately_sampled for r in pre)

@@ -28,10 +28,6 @@ _BOM = "\ufeff"
 _CHUNK_BYTES = 1 << 18      # clean_treebank reads about this much at a time
 _MAX_CARRY_BYTES = 1 << 20  # a longer run without a blank line is read by line
 _MAX_BLOCK_TOKENS = 1 << 14  # a block with more token lines is a parse error
-# a block's regular ids, and each head's token index (-1 for the root), as
-# the column reader takes them: a block longer than this is read by line
-_IDS = [str(i) for i in range(1, 1025)]
-_HEAD_INDEX = {text: i for i, text in enumerate(["0"] + _IDS, start=-1)}
 
 # loose tag patterns seen across annotation schemes (PTB ".", Prague "Z:...",
 # UD "PUNCT", assorted "Punc"/"PU" variants, or the character itself as tag)
@@ -40,6 +36,30 @@ _GENERIC_PUNCT_RE = re.compile(r"PUNCT|PUNC|Punc|punc|PU|Z\S*|[^\w\s]+")
 # at any empty or whitespace-only line: whitespace between two line ends is
 # whole blank lines (regex \s and str.isspace agree on every character)
 _BLANK_RE = re.compile(r"(\n\s*\n)")
+# the characters str.isspace accepts: none lies above U+3000 (the tests
+# check every code point)
+_SPACES = list(filter(str.isspace, map(chr, range(0x3001))))
+
+
+def _blank_bytes_pattern(spaces: list[str]) -> bytes:
+    """``_BLANK_RE``'s pattern for UTF-8: a line end, any of ``spaces`` in
+    UTF-8 and a line end. Each character is one class of last bytes after
+    its leading bytes; a lookahead on the first bytes (a line end among
+    them) fails most line ends at once."""
+    def one_of(values) -> bytes:
+        return b"[" + b"".join(b"\\x%02x" % x for x in values) + b"]"
+
+    by_lead: dict[bytes, list[int]] = {}
+    for c in spaces:
+        code = c.encode()
+        by_lead.setdefault(code[:-1], []).append(code[-1])
+    firsts = sorted({c.encode()[0] for c in spaces})
+    return (b"(\n(?=" + one_of(firsts) + b")(?:"
+            + b"|".join(re.escape(lead) + one_of(last)
+                        for lead, last in by_lead.items()) + b")*\n)")
+
+
+_BLANK_BYTES_RE = re.compile(_blank_bytes_pattern(_SPACES))
 
 
 class Scheme(Enum):
@@ -88,36 +108,67 @@ class ParseError:
 # The default deletion rules, each a predicate on one column: punctuation on
 # the POS column, null elements on the FORM column.
 
-def _ud_punct(pos: str) -> bool:
-    return pos == "PUNCT"
-
-
-def _prague_punct(pos: str) -> bool:
-    # Prague positional tags put punctuation in main class Z
-    return pos.startswith("Z")
-
-
 def _generic_punct(pos: str) -> bool:
     return _GENERIC_PUNCT_RE.fullmatch(pos) is not None
 
 
-def _hamledt_null(form: str) -> bool:
-    # null elements in the Bengali/Hindi/Telugu HamleDT corpora surface as
-    # tokens whose form is the literal string NULL
-    return form == "NULL"
+def _generic_punct_utf8(pos: bytes) -> bool:
+    # \w and \s are Unicode classes: the tag is matched as text
+    return _generic_punct(pos.decode())
 
 
-_PUNCT_RULES: dict[Scheme, Callable[[str], bool]] = {
-    Scheme.UD: _ud_punct,
-    Scheme.PRAGUE: _prague_punct,
-    Scheme.STANFORD: _generic_punct,
-    Scheme.GENERIC: _generic_punct,
-}
+class _Form(NamedTuple):
+    """What ``clean_treebank`` compares its input with, in the input's own
+    type: ``str``, or ``bytes`` holding UTF-8, each constant the ``str``
+    one encoded."""
 
-_NULL_RULES: dict[Scheme, Callable[[str], bool]] = {
-    Scheme.PRAGUE: _hamledt_null,
-    Scheme.STANFORD: _hamledt_null,
-}
+    bom: str | bytes
+    blank_re: re.Pattern    # a line end and the blank lines after it
+    nl: str | bytes
+    tab: str | bytes
+    comment: str | bytes
+    opening_re: re.Pattern  # the comment and empty lines that open a block
+    nl_comment: str | bytes
+    nl_cell: str | bytes    # a line end, as a cell of a tab-split block
+    isdigit: Callable
+    other_id: re.Pattern    # the id of a range line or an empty node
+    # a block's regular ids, and each head's token index (-1 for the root),
+    # as the column reader takes them: a block longer than this is read by
+    # line
+    ids: list
+    head_index: dict
+    punct: dict             # the default rules, by scheme
+    null: dict
+
+
+def _form(encode: Callable[[str], str | bytes], blank_re: re.Pattern,
+          generic_punct: Callable) -> _Form:
+    ids = [encode(str(i)) for i in range(1, 1025)]
+    null = encode("NULL").__eq__
+    return _Form(
+        bom=encode(_BOM), blank_re=blank_re, nl=encode("\n"),
+        tab=encode("\t"), comment=encode("#"),
+        opening_re=re.compile(encode(r"(?:#[^\n]*(?:\n|\Z)|\n)*")),
+        nl_comment=encode("\n#"),
+        nl_cell=encode("\t\n\t"), isdigit=type(encode("")).isdigit,
+        other_id=re.compile(encode(f"{_RANGE_RE.pattern}|"
+                                   f"{_DECIMAL_RE.pattern}")),
+        ids=ids,
+        head_index={text: i for i, text in enumerate([encode("0")] + ids,
+                                                     start=-1)},
+        punct={Scheme.UD: encode("PUNCT").__eq__,
+               # Prague positional tags put punctuation in main class Z
+               Scheme.PRAGUE: operator.methodcaller("startswith",
+                                                    encode("Z")),
+               Scheme.STANFORD: generic_punct,
+               Scheme.GENERIC: generic_punct},
+        # null elements in the Bengali/Hindi/Telugu HamleDT corpora surface
+        # as tokens whose form is the literal string NULL
+        null={Scheme.PRAGUE: null, Scheme.STANFORD: null})
+
+
+_STR = _form(lambda text: text, _BLANK_RE, _generic_punct)
+_UTF8 = _form(str.encode, _BLANK_BYTES_RE, _generic_punct_utf8)
 
 
 @dataclass(frozen=True)
@@ -137,7 +188,7 @@ class PreprocessConfig:
     def predicates(self) -> tuple[Callable[[RawToken], bool],
                                   Callable[[RawToken], bool] | None]:
         """The (punctuation, non-word node) predicates in effect."""
-        punct, null = _PUNCT_RULES[self.scheme], _NULL_RULES.get(self.scheme)
+        punct, null = _STR.punct[self.scheme], _STR.null.get(self.scheme)
         return (self.punct_predicate or (lambda token: punct(token.pos)),
                 self.empty_node_predicate or (
                     None if null is None else lambda token: null(token.form)))
@@ -393,7 +444,8 @@ def clean_treebank(stream, fmt: str = "conllu",
     ``parse_treebank(stream, fmt, treebank_id, errors)``, and records the
     same parse errors. ``stream`` is a binary or text file object, or the
     content itself (``bytes`` or ``str``). It is read a chunk of whole lines
-    at a time and split into blocks at blank lines. Under the scheme's
+    at a time and split into blocks at blank lines, as the bytes or the text
+    it holds: bytes are checked to be UTF-8, not decoded. Under the scheme's
     default rules each block is taken apart by columns; a block the column
     reader cannot vouch for, or that holds a byte that is not UTF-8, goes
     through the line reader with its real line numbers, and so does the
@@ -405,122 +457,123 @@ def clean_treebank(stream, fmt: str = "conllu",
     elif isinstance(stream, str):
         stream = io.StringIO(stream)    # breaks lines at "\n" only
 
-    def read() -> tuple[str, bool]:
-        """The next chunk of whole lines, and if it held a bad byte."""
+    def read() -> tuple[str | bytes, bool]:
+        """The next chunk of whole lines, and if it holds a bad byte."""
         chunk = stream.read(_CHUNK_BYTES) + stream.readline()
-        if isinstance(chunk, str):
-            return chunk, False
-        try:
-            return chunk.decode("utf-8"), False
-        except UnicodeDecodeError:
-            return chunk.decode("utf-8", "surrogateescape"), True
+        return chunk, not isinstance(chunk, str) and _holds_bad_byte(chunk)
 
-    def rest_of_input(text, escaped):
+    def rest_of_input(text):
         while text:
-            yield from _lines(text, escaped)
-            text, escaped = read()
+            yield from _lines(text)
+            text = read()[0]
 
     def by_line(lines, first_line):
         for sentence in _parse_lines(lines, treebank_id, errors, first_line):
             yield clean_sentence(sentence, cfg)
 
+    chunk, escaped = read()
+    f = _STR if isinstance(chunk, str) else _UTF8
+    nl, empty = f.nl, f.nl[:0]
     default_rules = (cfg.punct_predicate is None
                      and cfg.empty_node_predicate is None)
-    punct, null = _PUNCT_RULES[cfg.scheme], _NULL_RULES.get(cfg.scheme)
-    chunk, escaped = read()
-    text, line_no = chunk.removeprefix(_BOM), 1     # text starts on line_no
+    punct, null = f.punct[cfg.scheme], f.null.get(cfg.scheme)
+    text, line_no = chunk.removeprefix(f.bom), 1    # text starts on line_no
     while True:
-        parts = _BLANK_RE.split(text)   # block, blank lines, ..., block
-        rest = parts.pop() if chunk else ""     # the last block may go on
+        parts = f.blank_re.split(text)  # block, blank lines, ..., block
+        rest = parts.pop() if chunk else empty  # the last block may go on
         pos = counted = 0               # where ``block`` starts in text
         first = line_no                 # the line that starts at counted
         for block, blank in itertools.zip_longest(parts[0::2], parts[1::2],
-                                                  fillvalue=""):
+                                                  fillvalue=empty):
             result = None
             if default_rules and not (escaped and _holds_bad_byte(block)):
-                result = _clean_block(block, punct, null)
+                result = _clean_block(block, f, punct, null)
             if result is None:
-                first += text.count("\n", counted, pos)
+                first += text.count(nl, counted, pos)
                 counted = pos
                 # with the blank lines after it, so that the block ends on
                 # the same line as it does in the whole input
-                yield from by_line(_lines(block + blank, escaped), first)
+                yield from by_line(_lines(block + blank), first)
             elif result is not _NO_BLOCK:
                 yield result
             pos += len(block) + len(blank)
         if not chunk:
             return
-        line_no = first + text.count("\n", counted, pos)
+        line_no = first + text.count(nl, counted, pos)
         escaped = escaped and _holds_bad_byte(rest)
         if len(rest) > _MAX_CARRY_BYTES:
             # no blank line in sight: read the rest line by line
-            yield from by_line(rest_of_input(rest, escaped), line_no)
+            yield from by_line(rest_of_input(rest), line_no)
             return
         chunk, bad = read()
         text, escaped = rest + chunk, escaped or bad
 
 
-def _holds_bad_byte(text: str) -> bool:
-    """Whether ``text`` holds a byte that is not UTF-8 (surrogateescape)."""
-    return re.search("[\udc80-\udcff]", text) is not None
+def _holds_bad_byte(data: bytes) -> bool:
+    """Whether ``data`` is not UTF-8 (it is checked, and the text dropped)."""
+    if data.isascii():
+        return False
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    return False
 
 
-def _lines(text: str, escaped: bool) -> Iterator[str | None]:
+def _lines(text: str | bytes) -> Iterator[str | None]:
     """``text``'s lines as the line reader takes them."""
-    if escaped:
-        return _decoded(io.BytesIO(text.encode("utf-8", "surrogateescape")))
-    return io.StringIO(text)
+    if isinstance(text, str):
+        return io.StringIO(text)
+    return _decoded(io.BytesIO(text))
 
 
 _NO_BLOCK = object()     # _clean_block's answer for a group of no token line
 
 
-def _clean_block(group: str, punct: Callable[[str], bool],
-                 null: Callable[[str], bool] | None):
+def _clean_block(group: str | bytes, f: _Form, punct: Callable,
+                 null: Callable | None):
     """``clean_sentence``'s result for the block in ``group``, lines with no
-    blank line among them, under the default rules ``punct`` (on the POS
-    column) and ``null`` (on FORM); ``_NO_BLOCK`` if it holds only comments.
-    None, for ``parse_treebank`` to read it, unless every other line has ten
-    columns, there are at most ``_MAX_BLOCK_TOKENS`` of them, the regular
-    ids are 1..k, the other ids are ranges or empty nodes, and each head is
-    one of 0..k, written plainly, but not its own id.
+    blank line among them, in the form ``f``, under the default rules
+    ``punct`` (on the POS column) and ``null`` (on FORM); ``_NO_BLOCK`` if
+    it holds only comments. None, for ``parse_treebank`` to read it, unless
+    every other line has ten columns, there are at most
+    ``_MAX_BLOCK_TOKENS`` of them, the regular ids are 1..k, the other ids
+    are ranges or empty nodes, and each head is one of 0..k, written
+    plainly, but not its own id.
     """
-    start = 0
-    while group.startswith(("#", "\n"), start):   # and empty lines
-        start = group.find("\n", start) + 1
-        if not start:
-            return _NO_BLOCK
-    body = group[start:].rstrip("\n")
+    nl = f.nl
+    body = group[f.opening_re.match(group).end():].rstrip(nl)
     if not body:
         return _NO_BLOCK
-    if "\n#" in body:
-        body = "\n".join(line for line in body.split("\n") if line[0] != "#")
-    # one cell per column, and a "\n" cell between lines: then every line
-    # has ten columns if the "\n" cells fall every eleventh
-    k = body.count("\n") + 1
+    if f.nl_comment in body:
+        body = nl.join(line for line in body.split(nl)
+                       if not line.startswith(f.comment))
+    # one cell per column, and a line-end cell between lines: then every
+    # line has ten columns if the line-end cells fall every eleventh
+    k = body.count(nl) + 1
     if k > _MAX_BLOCK_TOKENS:
         return None
-    cells = body.replace("\n", "\t\n\t").split("\t")
-    if len(cells) != 11 * k - 1 or cells[10::11].count("\n") != k - 1:
+    cells = body.replace(nl, f.nl_cell).split(f.tab)
+    if len(cells) != 11 * k - 1 or cells[10::11].count(nl) != k - 1:
         return None
     ids = cells[0::11]
     heads, pos, forms = cells[6::11], cells[3::11], cells[1::11]
-    if ids != _IDS[:k]:
+    if ids != f.ids[:k]:
         # drop range lines and empty nodes; the ids left must be 1..k
-        regular = list(map(str.isdigit, ids))
+        regular = list(map(f.isdigit, ids))
         for c in itertools.compress(ids, map(operator.not_, regular)):
-            if not (_RANGE_RE.fullmatch(c) or _DECIMAL_RE.fullmatch(c)):
+            if not f.other_id.fullmatch(c):
                 return None
         ids = list(itertools.compress(ids, regular))
         k = len(ids)
-        if ids != _IDS[:k]:
+        if ids != f.ids[:k]:
             return None
         if not k:
             return ExclusionReason.EMPTY_AFTER_PREPROCESSING
         heads = list(itertools.compress(heads, regular))
         pos = list(itertools.compress(pos, regular))
         forms = list(itertools.compress(forms, regular))
-    head = list(map(_HEAD_INDEX.get, heads))
+    head = list(map(f.head_index.get, heads))
     if None in head or max(head) >= k or any(map(operator.eq, head, range(k))):
         return None
     if null is None:

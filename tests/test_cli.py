@@ -1,9 +1,10 @@
-import concurrent.futures
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -290,19 +291,19 @@ def _write_mixed_collection(tmp_path):
 
 class TestWorkers:
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """Worker counts of the pools the CLI opens."""
-        opened = []
-        real = concurrent.futures.ProcessPoolExecutor
+    def forks(self, monkeypatch):
+        """The pids of the children the CLI forks."""
+        pids = []
+        real = os.fork
 
-        class SpyPool(real):
-            def __init__(self, workers, **kwargs):
-                opened.append(workers)
-                super().__init__(workers, **kwargs)
+        def spy():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SpyPool)
-        return opened
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
 
     @staticmethod
     def run(monkeypatch, capsysbinary, argv, cpus, stdin=b""):
@@ -312,8 +313,14 @@ class TestWorkers:
         captured = capsysbinary.readouterr()
         return code, captured.out, captured.err
 
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch,
-                                                 capsysbinary, pools):
+                                                 capsysbinary, forks):
         data, files = _write_mixed_collection(tmp_path)
         stdin = "\n".join([STAR_AT_END, BROKEN, CHAIN, PUNCT_ONLY]).encode()
         inputs = [["--input", str(data)],
@@ -329,7 +336,9 @@ class TestWorkers:
                 assert alone[0] == 0
                 assert pooled == alone
                 assert b"more skipped sentences not shown" in alone[2]
-        assert pools == [3] * runs
+        # three workers: this process and two forked children a run
+        assert len(forks) == 2 * runs
+        self.assert_reaped(forks)
         doc = json.loads(self.run(monkeypatch, capsysbinary,
                                   ["analyze", "--input", str(data),
                                    "--report", "json"], 3)[1])
@@ -339,7 +348,7 @@ class TestWorkers:
 
     def test_worker_failure_reports_in_process_error(self, tmp_path,
                                                      monkeypatch,
-                                                     capsysbinary, pools):
+                                                     capsysbinary, forks):
         _, files = _write_mixed_collection(tmp_path)
         missing = tmp_path / "Gone.conllu"
         monkeypatch.setattr(cli.treebank, "gather_files",
@@ -347,7 +356,8 @@ class TestWorkers:
         argv = ["analyze", "--input", str(tmp_path)]
         alone = self.run(monkeypatch, capsysbinary, argv, 1)
         pooled = self.run(monkeypatch, capsysbinary, argv, 3)
-        assert pools == [3]
+        assert len(forks) == 2
+        self.assert_reaped(forks)
         assert pooled == alone
         code, out, err = pooled
         assert code == 1 and out == b""
@@ -356,16 +366,87 @@ class TestWorkers:
         assert lines[-1] == ("ddmtest: error: [Errno 2] No such file or "
                              f"directory: '{missing}'")
 
+    @pytest.mark.parametrize("death, how", [
+        ("os.kill(os.getpid(), signal.SIGKILL)",
+         f"killed by signal {signal.SIGKILL}"),
+        ("os._exit(3)", "exit status 3")])
+    def test_worker_that_dies_is_an_error(self, tmp_path, monkeypatch,
+                                          capsysbinary, death, how):
+        """A child that dies before sending its results ends the run with
+        an error after the files before its own, and leaves no child."""
+        data, files = _write_mixed_collection(tmp_path)
+        # not the largest file, which the parent folds, nor the first
+        victim = min(files[1:], key=lambda path: path.stat().st_size)
+        before = files[:files.index(victim)]
+        script = f"""if True:
+            import os, signal, sys
+            from ddmtest import cli
+            cli._usable_cpus = lambda: 3
+            parent, fold = os.getpid(), cli._fold_file
+            def dying(path, fmt, cfg):
+                if os.getpid() != parent and path.name == {victim.name!r}:
+                    {death}
+                return fold(path, fmt, cfg)
+            cli._fold_file = dying
+            code = cli.main(["analyze", "--input", {str(data)!r}])
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no child left", file=sys.stderr)
+            sys.exit(code)
+            """
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(ddmtest.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, timeout=120)
+        assert result.returncode == 1 and result.stdout == b""
+        # the files before it, as they report in-process
+        assert self.run(monkeypatch, capsysbinary, [
+            "analyze", "--input", *map(str, before)], 1)[2] \
+            + (f"ddmtest: error: the worker folding {victim} died before "
+               f"sending its results ({how})\nno child left\n"
+               ).encode() == result.stderr
 
-def test_cli_import_leaves_heavy_modules_out():
+
+    def test_interrupt_leaves_no_child(self, tmp_path, monkeypatch, forks):
+        """An interrupt in the parent kills and reaps its children at
+        once."""
+        data, _ = _write_mixed_collection(tmp_path)
+        parent, fold = os.getpid(), cli._fold_file
+
+        def fold_or_stop(path, fmt, cfg):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)      # a child is killed long before
+            return fold(path, fmt, cfg)
+
+        monkeypatch.setattr(cli, "_fold_file", fold_or_stop)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["analyze", "--input", str(data)])
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+        self.assert_reaped(forks)
+
+def test_cli_import_leaves_heavy_modules_out(tmp_path):
+    """Neither importing the CLI nor a pooled run imports numpy or the
+    standard library's process pools."""
+    data, _ = _write_mixed_collection(tmp_path)
     src = Path(ddmtest.__file__).resolve().parents[1]
-    code = ("import sys, ddmtest.cli as c; c.build_parser(); "
-            "print(sorted(m for m in ('numpy', 'multiprocessing', "
-            "'concurrent.futures') if m in sys.modules))")
+    code = ("import os, sys, ddmtest.cli as c; c.build_parser(); "
+            "heavy = ('numpy', 'multiprocessing', 'concurrent.futures'); "
+            "print(sorted(m for m in heavy if m in sys.modules)); "
+            "forks, fork = [], os.fork; "
+            "os.fork = lambda: forks.append(1) or fork(); "
+            "c._usable_cpus = lambda: 3; "
+            f"c.main(['analyze', '--input', {str(data)!r}, "
+            "'--out', os.devnull]); "
+            "print(len(forks), sorted(m for m in heavy if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(src)))
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n2 []\n"
 
 
 def test_analyze_runs_without_numpy(tmp_path):

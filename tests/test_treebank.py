@@ -1,4 +1,5 @@
 import io
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -819,3 +820,59 @@ class TestCleanTreebank:
         cfg = PreprocessConfig(punct_predicate=lambda t: t.pos == "P")
         assert block_clean(text.encode(), cfg=cfg) == ([(1, []), (1, [])], [])
         assert by_line == [1, 4]
+
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_str_with_lone_surrogates_reads_as_text(self, scheme, by_line):
+        # a lone surrogate is text in a str, not a byte that is not UTF-8
+        text = "\n".join([
+            "# text = \udcff", token_line(1, 0, form="\ud800"),
+            token_line(2, 1, pos="PUNCT\udfff"),
+            token_line(3, 1, form="NULL", pos="\udc80"), "",
+            token_line(1, 0, pos="Z\udcff"), "\udcff", "",
+            token_line(1, 0)])
+        cfg = PreprocessConfig(scheme=scheme)
+        for stream in (text, io.StringIO(text)):
+            by_line.clear()
+            fates, errors = block_clean(stream, cfg=cfg)
+            assert by_line == [6]       # the block with a one-column line
+            assert (fates, errors) == reference_clean(text, cfg=cfg)
+            assert [(e.line_no, e.message) for e in errors] == [
+                (7, "expected 10 columns, got 1")]
+            assert len(fates) == 2
+
+
+TAGS = ["PUNCT", "PUNC", "Punc", "PU", "Z", "Z:", "Zx", "Z　", "NULL",
+        ",", "...", "«", "…", "、", "x\x1c", "\x85", " ",
+        "N", "é", "١", "_", "", "﻿", "ＮＵＬＬ"]
+
+
+class TestBytesReader:
+    def test_blank_line_rule_agrees_with_isspace(self):
+        """A line of one or two copies of any code point ends a block, read
+        as text or as bytes, exactly when the line reader calls it blank."""
+        surrogates = range(0xD800, 0xE000)     # no UTF-8 form
+        assert not any(chr(code).isspace() for code in surrogates)
+        lines = [chr(code) * copies for code in range(sys.maxunicode + 1)
+                 if code not in surrogates for copies in (1, 2)]
+        text = "".join(f"a\n{line}\na" for line in lines)
+        blank = [line for line in lines if line.isspace()]
+        assert len(blank) > 50
+        assert [m.group()[1:-1]
+                for m in treebank._BLANK_RE.finditer(text)] == blank
+        assert [m.group()[1:-1].decode() for m in
+                treebank._BLANK_BYTES_RE.finditer(text.encode())] == blank
+
+    @given(st.one_of(st.sampled_from(TAGS),
+                     st.text(st.characters(blacklist_categories=("Cs",)),
+                             max_size=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_rules_agree_with_text_rules(self, tag):
+        for scheme in Scheme:
+            for rules in ("punct", "null"):
+                text_rule = getattr(treebank._STR, rules).get(scheme)
+                bytes_rule = getattr(treebank._UTF8, rules).get(scheme)
+                assert (text_rule is None) == (bytes_rule is None)
+                if text_rule is not None:
+                    assert bytes_rule(tag.encode()) is text_rule(tag), \
+                        (scheme, rules)
