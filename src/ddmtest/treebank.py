@@ -36,12 +36,16 @@ _GENERIC_PUNCT_RE = re.compile(r"PUNCT|PUNC|Punc|punc|PU|Z\S*|[^\w\s]+")
 # at any empty or whitespace-only line: whitespace between two line ends is
 # whole blank lines (regex \s and str.isspace agree on every character)
 _BLANK_RE = re.compile(r"(\n\s*\n)")
-# the characters str.isspace accepts: none lies above U+3000 (the tests
-# check every code point)
-_SPACES = list(filter(str.isspace, map(chr, range(0x3001))))
+# every character str.isspace accepts (the tests check all code points)
+_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
+           "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
+           "\u205f\u3000")
+# a block's regular ids, as the column reader takes them: a block longer
+# than this is read by line
+_IDS = [str(i) for i in range(1, 1025)]
 
 
-def _blank_bytes_pattern(spaces: list[str]) -> bytes:
+def _blank_bytes_pattern(spaces: str) -> bytes:
     """``_BLANK_RE``'s pattern for UTF-8: a line end, any of ``spaces`` in
     UTF-8 and a line end. Each character is one class of last bytes after
     its leading bytes; a lookahead on the first bytes (a line end among
@@ -117,58 +121,44 @@ def _generic_punct_utf8(pos: bytes) -> bool:
     return _generic_punct(pos.decode())
 
 
-class _Form(NamedTuple):
+class _Form:
     """What ``clean_treebank`` compares its input with, in the input's own
-    type: ``str``, or ``bytes`` holding UTF-8, each constant the ``str``
-    one encoded."""
+    type: ``str``, or ``bytes`` holding UTF-8. Each constant is the ``str``
+    one put through ``encode``; ``blank_re`` and the generic punctuation
+    rule are given."""
 
-    bom: str | bytes
-    blank_re: re.Pattern    # a line end and the blank lines after it
-    nl: str | bytes
-    tab: str | bytes
-    comment: str | bytes
-    opening_re: re.Pattern  # the comment and empty lines that open a block
-    nl_comment: str | bytes
-    nl_cell: str | bytes    # a line end, as a cell of a tab-split block
-    isdigit: Callable
-    other_id: re.Pattern    # the id of a range line or an empty node
-    # a block's regular ids, and each head's token index (-1 for the root),
-    # as the column reader takes them: a block longer than this is read by
-    # line
-    ids: list
-    head_index: dict
-    punct: dict             # the default rules, by scheme
-    null: dict
-
-
-def _form(encode: Callable[[str], str | bytes], blank_re: re.Pattern,
-          generic_punct: Callable) -> _Form:
-    ids = [encode(str(i)) for i in range(1, 1025)]
-    null = encode("NULL").__eq__
-    return _Form(
-        bom=encode(_BOM), blank_re=blank_re, nl=encode("\n"),
-        tab=encode("\t"), comment=encode("#"),
-        opening_re=re.compile(encode(r"(?:#[^\n]*(?:\n|\Z)|\n)*")),
-        nl_comment=encode("\n#"),
-        nl_cell=encode("\t\n\t"), isdigit=type(encode("")).isdigit,
-        other_id=re.compile(encode(f"{_RANGE_RE.pattern}|"
-                                   f"{_DECIMAL_RE.pattern}")),
-        ids=ids,
-        head_index={text: i for i, text in enumerate([encode("0")] + ids,
-                                                     start=-1)},
-        punct={Scheme.UD: encode("PUNCT").__eq__,
-               # Prague positional tags put punctuation in main class Z
-               Scheme.PRAGUE: operator.methodcaller("startswith",
-                                                    encode("Z")),
-               Scheme.STANFORD: generic_punct,
-               Scheme.GENERIC: generic_punct},
+    def __init__(self, encode: Callable, blank_re: re.Pattern,
+                 generic_punct: Callable):
+        self.bom = encode(_BOM)
+        self.blank_re = blank_re    # a line end and the blank lines after it
+        self.nl, self.tab = encode("\n"), encode("\t")
+        self.comment, self.nl_comment = encode("#"), encode("\n#")
+        self.nl_cell = encode("\t\n\t")   # a line end, as a cell of a block
+        # the comment and empty lines that open a block
+        self.opening_re = re.compile(encode(r"(?:#[^\n]*(?:\n|\Z)|\n)*"))
+        self.isdigit = type(self.nl).isdigit
+        # the id of a range line or an empty node
+        self.other_id = re.compile(encode(f"{_RANGE_RE.pattern}|"
+                                          f"{_DECIMAL_RE.pattern}"))
+        self.ids = list(map(encode, _IDS))
+        # each head's token index (-1 for the root)
+        self.head_index = dict(zip([encode("0")] + self.ids,
+                                   range(-1, len(_IDS))))
+        # the default rules, by scheme
+        self.punct = {Scheme.UD: encode("PUNCT").__eq__,
+                      # Prague positional tags put punctuation in class Z
+                      Scheme.PRAGUE: operator.methodcaller("startswith",
+                                                           encode("Z")),
+                      Scheme.STANFORD: generic_punct,
+                      Scheme.GENERIC: generic_punct}
         # null elements in the Bengali/Hindi/Telugu HamleDT corpora surface
         # as tokens whose form is the literal string NULL
-        null={Scheme.PRAGUE: null, Scheme.STANFORD: null})
+        null = encode("NULL").__eq__
+        self.null = {Scheme.PRAGUE: null, Scheme.STANFORD: null}
 
 
-_STR = _form(lambda text: text, _BLANK_RE, _generic_punct)
-_UTF8 = _form(str.encode, _BLANK_BYTES_RE, _generic_punct_utf8)
+_STR = _Form(str, _BLANK_RE, _generic_punct)      # str() of a str is itself
+_UTF8 = _Form(str.encode, _BLANK_BYTES_RE, _generic_punct_utf8)
 
 
 @dataclass(frozen=True)

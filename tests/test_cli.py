@@ -368,7 +368,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("death, how", [
         ("os.kill(os.getpid(), signal.SIGKILL)",
-         f"killed by signal {signal.SIGKILL}"),
+         f"killed by signal {int(signal.SIGKILL)}"),
         ("os._exit(3)", "exit status 3")])
     def test_worker_that_dies_is_an_error(self, tmp_path, monkeypatch,
                                           capsysbinary, death, how):
@@ -406,7 +406,6 @@ class TestWorkers:
             + (f"ddmtest: error: the worker folding {victim} died before "
                f"sending its results ({how})\nno child left\n"
                ).encode() == result.stderr
-
 
     def test_interrupt_leaves_no_child(self, tmp_path, monkeypatch, forks):
         """An interrupt in the parent kills and reaps its children at
