@@ -198,9 +198,7 @@ def _fold_forked(paths: list[Path], shares: list[list[int]], fmt: str,
     as one pickle down its own pipe. A child that ends without sending them
     gives each file of its share a ``ChildProcessError``; no child outlives
     the call."""
-    # imported here, as a run on one file needs neither
-    import pickle
-    import signal
+    import pickle   # here, as a run on one file does not need it
 
     pids, ends = [], []         # each child's pid and its pipe's read end
     try:
@@ -235,9 +233,12 @@ def _fold_forked(paths: list[Path], shares: list[list[int]], fmt: str,
     finally:
         for r in ends:
             os.close(r)
-        for pid in pids:        # left only by an error in this process
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if pids:                # left only by an error in this process
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _fold_files(paths: list[Path], fmt: str, cfg: PreprocessConfig):
