@@ -330,7 +330,11 @@ def _run_analyze(args) -> int:
                   "per_family": args.per_family})
     payload = pipeline.emit_report(report, args.report)
     if args.out:
-        Path(args.out).write_bytes(payload)
+        try:
+            Path(args.out).write_bytes(payload)
+        except OSError as exc:
+            print(f"ddmtest: error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

@@ -9,11 +9,11 @@ rational, kept as ``Fraction`` throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._record import FrozenRecord
 from .trees import DistanceDistribution, LinearizedTree, TreeShape
 
 # numpy is imported only by the samplers, for the reason given in trees.py
@@ -41,22 +41,22 @@ _STAR_FRACTION = {
 }
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(FrozenRecord):
     """Tree ensemble fixing the star-tree fraction p_star (n = 4)."""
 
-    kind: EnsembleKind
-    p_star: Fraction | None = None
+    __slots__ = ("kind", "p_star")
 
-    def __post_init__(self):
-        if self.kind is EnsembleKind.REAL:
-            if self.p_star is None:
+    def __init__(self, kind: EnsembleKind, p_star: Fraction | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p_star", p_star)
+        if kind is EnsembleKind.REAL:
+            if p_star is None:
                 raise ValueError("real ensemble requires p_star")
-            if not 0 <= self.p_star <= 1:
+            if not 0 <= p_star <= 1:
                 raise ValueError("p_star must lie in [0, 1]")
-        elif self.p_star is not None and self.p_star != _STAR_FRACTION[self.kind]:
-            raise ValueError(f"{self.kind.value} fixes p_star = "
-                             f"{_STAR_FRACTION[self.kind]}")
+        elif p_star is not None and p_star != _STAR_FRACTION[kind]:
+            raise ValueError(f"{kind.value} fixes p_star = "
+                             f"{_STAR_FRACTION[kind]}")
 
     @classmethod
     def real(cls, p_star: Fraction) -> "EnsembleSpec":

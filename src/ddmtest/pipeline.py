@@ -9,23 +9,19 @@ meaningful far below float underflow.
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
 from . import stats
+from ._record import FrozenRecord, Record
 from .nullmodels import Direction, EnsembleSpec, \
     expected_d_random_arrangement, mixture_probability, \
     noncrossing_mixture_probability, shape_tail_probability
 from .trees import LinearizedTree, TreeShape
-
-logger = logging.getLogger(__name__)
 
 _LN10 = math.log(10.0)
 UNKNOWN_FAMILY = "Unknown"
@@ -46,58 +42,80 @@ class LevelSpec(Enum):
         return 3 if self is LevelSpec.N3_ALL else 4
 
 
-@dataclass(frozen=True)
-class LevelCounts:
+class LevelCounts(FrozenRecord):
     """Tallies of one language's sentences against the random-arrangement mean."""
 
-    language: str
-    level: LevelSpec
-    m: int
-    g_above: int
-    g_below: int
-    ties: int
-    p_star_real: Fraction | None = None
+    __slots__ = ("language", "level", "m", "g_above", "g_below", "ties",
+                 "p_star_real")
 
-    def __post_init__(self):
-        if self.g_above + self.g_below + self.ties != self.m:
+    def __init__(self, language: str, level: LevelSpec, m: int, g_above: int,
+                 g_below: int, ties: int, p_star_real: Fraction | None = None):
+        put = object.__setattr__
+        put(self, "language", language)
+        put(self, "level", level)
+        put(self, "m", m)
+        put(self, "g_above", g_above)
+        put(self, "g_below", g_below)
+        put(self, "ties", ties)
+        put(self, "p_star_real", p_star_real)
+        if g_above + g_below + ties != m:
             raise ValueError("g_above + g_below + ties must equal m")
 
 
-@dataclass(frozen=True)
-class TestResult:
-    language: str
-    family: str
-    level: LevelSpec
-    direction: Direction
-    m: int
-    g: int
-    p: Fraction | None
-    p_value: float
-    log10_p_value: float
-    adequately_sampled: bool
-    p_holm: float | None = None
-    significant: bool = False
-    neglog10_holm: float | None = None
+class TestResult(FrozenRecord):
+    __slots__ = ("language", "family", "level", "direction", "m", "g", "p",
+                 "p_value", "log10_p_value", "adequately_sampled", "p_holm",
+                 "significant", "neglog10_holm")
+
+    def __init__(self, language: str, family: str, level: LevelSpec,
+                 direction: Direction, m: int, g: int, p: Fraction | None,
+                 p_value: float, log10_p_value: float,
+                 adequately_sampled: bool, p_holm: float | None = None,
+                 significant: bool = False,
+                 neglog10_holm: float | None = None):
+        put = object.__setattr__
+        put(self, "language", language)
+        put(self, "family", family)
+        put(self, "level", level)
+        put(self, "direction", direction)
+        put(self, "m", m)
+        put(self, "g", g)
+        put(self, "p", p)
+        put(self, "p_value", p_value)
+        put(self, "log10_p_value", log10_p_value)
+        put(self, "adequately_sampled", adequately_sampled)
+        put(self, "p_holm", p_holm)
+        put(self, "significant", significant)
+        put(self, "neglog10_holm", neglog10_holm)
 
 
-@dataclass(frozen=True)
-class LevelSummary:
-    level: LevelSpec
-    direction: Direction
-    l0: int
-    l: int
-    f: int
-    f_holm: int
+class LevelSummary(FrozenRecord):
+    __slots__ = ("level", "direction", "l0", "l", "f", "f_holm")
+
+    def __init__(self, level: LevelSpec, direction: Direction, l0: int, l: int,
+                 f: int, f_holm: int):
+        put = object.__setattr__
+        put(self, "level", level)
+        put(self, "direction", direction)
+        put(self, "l0", l0)
+        put(self, "l", l)
+        put(self, "f", f)
+        put(self, "f_holm", f_holm)
 
 
-@dataclass
-class Report:
-    collection: str
-    alpha: float
-    summaries: list[LevelSummary]
-    results: list[TestResult]
-    exclusions: dict[str, int]
-    metadata: dict[str, object]
+class Report(Record):
+    __slots__ = ("collection", "alpha", "summaries", "results", "exclusions",
+                 "metadata")
+
+    def __init__(self, collection: str, alpha: float,
+                 summaries: list[LevelSummary], results: list[TestResult],
+                 exclusions: dict[str, int], metadata: dict[str, object]):
+        self.collection = collection
+        self.alpha = alpha
+        self.summaries = summaries
+        self.results = results
+        self.exclusions = exclusions
+        self.metadata = metadata
 
     @property
     def is_empty(self) -> bool:
@@ -327,8 +345,11 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
     languages = sorted(tallies)
     missing = [lang for lang in languages if lang not in families]
     if missing and families:
-        logger.warning("no family for %d language(s): %s; using %r",
-                       len(missing), ", ".join(missing), UNKNOWN_FAMILY)
+        import logging  # here, as only this warning uses it
+
+        logging.getLogger(__name__).warning(
+            "no family for %d language(s): %s; using %r", len(missing),
+            ", ".join(missing), UNKNOWN_FAMILY)
     report = Report(collection=collection, alpha=alpha, summaries=[],
                     results=[], exclusions=dict(exclusions or {}),
                     metadata=dict(metadata or {}))
@@ -456,6 +477,8 @@ def _emit_markdown(report: Report) -> str:
 
 
 def _emit_json(report: Report) -> str:
+    import json  # here, as the other formats do not need it
+
     doc = {
         "collection": report.collection,
         "alpha": report.alpha,
@@ -493,9 +516,11 @@ def emit_report(report: Report, fmt: str = "csv") -> bytes:
 
 
 def load_families(path: str | Path) -> dict[str, str]:
-    """Read a language-to-family map: two tab-separated columns, '#' comments."""
+    """Read a language-to-family map: two tab-separated columns, '#' comments.
+
+    A leading UTF-8 byte order mark is ignored."""
     families: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

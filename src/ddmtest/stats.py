@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import FrozenRecord
 
 _LOG_STOP = math.log(1e-18)  # geometric remainder below this of the sum: stop
 _EXACT_COMB_LIMIT = 1024  # up to here, log C(m,f) comes from the exact integer
@@ -20,32 +21,34 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a double into halves
 _EXACT_PIECE_LIMIT = 1 << 26
 
 
-@dataclass(frozen=True)
-class BinomialTestInput:
+class BinomialTestInput(FrozenRecord):
     """Successes g out of m trials with exact success probability p."""
 
-    g: int
-    m: int
-    p: Fraction
-    alpha: float = 0.05
+    __slots__ = ("g", "m", "p", "alpha")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        if not 0 <= self.g <= self.m:
-            raise ValueError(f"need 0 <= g <= m, got g={self.g}, m={self.m}")
+    def __init__(self, g: int, m: int, p: Fraction, alpha: float = 0.05):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", Fraction(p))
+        object.__setattr__(self, "alpha", alpha)
+        if not 0 <= g <= m:
+            raise ValueError(f"need 0 <= g <= m, got g={g}, m={m}")
         if not 0 < self.p < 1:
             raise ValueError(f"need 0 < p < 1, got p={self.p}")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"need 0 < alpha < 1, got alpha={self.alpha}")
+        if not 0 < alpha < 1:
+            raise ValueError(f"need 0 < alpha < 1, got alpha={alpha}")
 
 
-@dataclass(frozen=True)
-class AdjustedPValues:
+class AdjustedPValues(FrozenRecord):
     """Holm step-down output, in the input order."""
 
-    raw: tuple[float, ...]
-    adjusted: tuple[float, ...]
-    rejected: tuple[bool, ...]
+    __slots__ = ("raw", "adjusted", "rejected")
+
+    def __init__(self, raw: tuple[float, ...], adjusted: tuple[float, ...],
+                 rejected: tuple[bool, ...]):
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "adjusted", adjusted)
+        object.__setattr__(self, "rejected", rejected)
 
 
 def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:

@@ -14,11 +14,11 @@ import itertools
 import operator
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+from ._record import FrozenRecord, Record
 from .trees import LinearizedTree
 
 _RANGE_RE = re.compile(r"([0-9]+)-[0-9]+")
@@ -91,18 +91,23 @@ class RawToken(NamedTuple):
     is_range_token: bool = False
 
 
-@dataclass
-class RawSentence:
-    tokens: list[RawToken]
-    source_id: str
-    treebank_id: str = ""
+class RawSentence(Record):
+    __slots__ = ("tokens", "source_id", "treebank_id")
+
+    def __init__(self, tokens: list[RawToken], source_id: str,
+                 treebank_id: str = ""):
+        self.tokens = tokens
+        self.source_id = source_id
+        self.treebank_id = treebank_id
 
 
-@dataclass(frozen=True)
-class ParseError:
-    line_no: int
-    message: str
-    source: str = ""
+class ParseError(FrozenRecord):
+    __slots__ = ("line_no", "message", "source")
+
+    def __init__(self, line_no: int, message: str, source: str = ""):
+        object.__setattr__(self, "line_no", line_no)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "source", source)
 
     def __str__(self):
         where = f"{self.source}: " if self.source else ""
@@ -161,8 +166,7 @@ _STR = _Form(str, _BLANK_RE, _generic_punct)      # str() of a str is itself
 _UTF8 = _Form(str.encode, _BLANK_BYTES_RE, _generic_punct_utf8)
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
+class PreprocessConfig(FrozenRecord):
     """Deletion rules applied before any analysis.
 
     ``punct_predicate`` / ``empty_node_predicate`` override the per-scheme
@@ -171,9 +175,14 @@ class PreprocessConfig:
     the predicate.
     """
 
-    scheme: Scheme = Scheme.UD
-    punct_predicate: Callable[[RawToken], bool] | None = None
-    empty_node_predicate: Callable[[RawToken], bool] | None = None
+    __slots__ = ("scheme", "punct_predicate", "empty_node_predicate")
+
+    def __init__(self, scheme: Scheme = Scheme.UD,
+                 punct_predicate: Callable[[RawToken], bool] | None = None,
+                 empty_node_predicate: Callable[[RawToken], bool] | None = None):
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "punct_predicate", punct_predicate)
+        object.__setattr__(self, "empty_node_predicate", empty_node_predicate)
 
     def predicates(self) -> tuple[Callable[[RawToken], bool],
                                   Callable[[RawToken], bool] | None]:

@@ -7,10 +7,11 @@ linear arrangement. Edges are undirected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
+
+from ._record import FrozenRecord
 
 # numpy (the "sim" extra) and the kernels are imported inside the functions
 # that use them: the analysis never enumerates, runs without numpy, and
@@ -32,18 +33,19 @@ class EnumerationCapError(ValueError):
     """Exhaustive enumeration refused; use Monte Carlo sampling instead."""
 
 
-@dataclass(frozen=True)
-class LinearizedTree:
-    """Undirected tree on vertices {1..n}; vertex number = sentence position."""
+class LinearizedTree(FrozenRecord):
+    """Undirected tree on vertices {1..n}; vertex number = sentence position.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    ``edges`` is kept normalised: each edge as (lower, higher), sorted.
+    """
 
-    def __post_init__(self):
-        n = self.n
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
         if n < 1:
             raise ValueError("tree needs at least one vertex")
-        norm = tuple(sorted((u, v) if u < v else (v, u) for u, v in self.edges))
+        norm = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
         object.__setattr__(self, "edges", norm)
         if len(norm) != n - 1:
             raise ValueError(f"expected {n - 1} edges, got {len(norm)}")
@@ -90,15 +92,15 @@ class LinearizedTree:
         return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
 
 
-@dataclass(frozen=True)
-class DistanceDistribution:
+class DistanceDistribution(FrozenRecord):
     """Exact counts of the distance sum D over a set of linear arrangements."""
 
-    counts: dict[int, int]
-    total: int
+    __slots__ = ("counts", "total")
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.total:
+    def __init__(self, counts: dict[int, int], total: int):
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
+        if sum(counts.values()) != total:
             raise ValueError("counts do not add up to total")
 
     def mean(self) -> Fraction:

@@ -99,6 +99,18 @@ class TestAnalyzeCommand:
                          "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_unwritable_out_is_an_error(self, tmp_path, capsysbinary):
+        write_corpus(tmp_path, ["Alpha"])
+        out = tmp_path / "no-such-dir" / "report.csv"
+        code = main(["analyze", "--input", str(tmp_path), "--out", str(out)])
+        assert code == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.decode() == (
+            f"ddmtest: error: [Errno 2] No such file or directory: "
+            f"{str(out)!r}\n")
+        assert not out.parent.exists()
+
     def test_json_report_with_families(self, tmp_path, capsysbinary):
         write_corpus(tmp_path, ["Alpha", "Beta"])
         fam = tmp_path / "families.tsv"
@@ -429,23 +441,29 @@ class TestWorkers:
         self.assert_reaped(forks)
 
 def test_cli_import_leaves_heavy_modules_out(tmp_path):
-    """Neither importing the CLI nor a pooled run imports numpy or the
-    standard library's process pools."""
+    """Neither importing the package or the CLI nor a pooled CSV run
+    imports numpy or the standard library's process pools, nor any of
+    dataclasses, inspect, logging and json that the interpreter did not
+    load before (whatever ``site`` preloads)."""
     data, _ = _write_mixed_collection(tmp_path)
     src = Path(ddmtest.__file__).resolve().parents[1]
-    code = ("import os, sys, ddmtest.cli as c; c.build_parser(); "
+    code = ("import os, sys; before = set(sys.modules); "
             "heavy = ('numpy', 'multiprocessing', 'concurrent.futures'); "
-            "print(sorted(m for m in heavy if m in sys.modules)); "
+            "slow = ('dataclasses', 'inspect', 'logging', 'json'); "
+            "added = lambda: sorted(m for m in heavy if m in sys.modules) + "
+            "sorted(m for m in slow if m in set(sys.modules) - before); "
+            "import ddmtest; print(added()); "
+            "import ddmtest.cli as c; c.build_parser(); print(added()); "
             "forks, fork = [], os.fork; "
             "os.fork = lambda: forks.append(1) or fork(); "
             "c._usable_cpus = lambda: 3; "
             f"c.main(['analyze', '--input', {str(data)!r}, "
             "'--out', os.devnull]); "
-            "print(len(forks), sorted(m for m in heavy if m in sys.modules))")
+            "print(len(forks), added())")
     result = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(src)))
-    assert result.stdout == "[]\n2 []\n"
+    assert result.stdout == "[]\n[]\n2 []\n"
 
 
 def test_analyze_runs_without_numpy(tmp_path):

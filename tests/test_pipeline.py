@@ -550,3 +550,17 @@ class TestLoadFamilies:
         path.write_text("Japanese Japonic\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             load_families(path)
+
+    def test_byte_order_mark_is_not_part_of_the_first_language(self,
+                                                               tmp_path):
+        path = tmp_path / "families.tsv"
+        path.write_text("\ufeffBengali\tIndo-Aryan\nKorean\tKoreanic\n",
+                        encoding="utf-8")
+        assert load_families(path) == {"Bengali": "Indo-Aryan",
+                                       "Korean": "Koreanic"}
+
+    def test_byte_order_mark_before_a_comment(self, tmp_path):
+        path = tmp_path / "families.tsv"
+        path.write_bytes("# language\tfamily\nBengali\tIndo-Aryan\n"
+                         .encode("utf-8-sig"))
+        assert load_families(path) == {"Bengali": "Indo-Aryan"}
