@@ -9,8 +9,11 @@ one. The results are merged in file order, so the report and stderr do
 not depend on the worker count. With one file or one usable CPU, in a
 process that runs other threads, or where the platform cannot fork, the
 files are folded in-process. Stderr shows at most 20 parse errors per
-input, then a count of the rest. Exit codes: 0 success, 1 argument/format
-error, 2 empty collection (nothing survived preprocessing).
+input, then a count of the rest. A CSV report shows no exclusion counts,
+so its run does not check the tree of a block that keeps more than four
+words, once its input has given a tree: the report, stderr and exit code
+are the same. Exit codes: 0 success, 1 argument/format error, 2 empty
+collection (nothing survived preprocessing).
 """
 
 from __future__ import annotations
@@ -122,17 +125,24 @@ class _ErrorLog:
             self.shown.append(error)
 
 
-def _fold_stream(stream, fmt: str, cfg: PreprocessConfig, tag: str):
+def _fold_stream(stream, fmt: str, cfg: PreprocessConfig, tag: str,
+                 skip_long: bool = False):
     """Fold one input's sentences into a tally, one at a time.
 
     Returns the tally, the exclusion counts (parse errors under
     ``"parse_error"``) and the stderr lines that report the parse errors:
-    the first ``MAX_ERRORS_SHOWN``, then one line counting the rest.
+    the first ``MAX_ERRORS_SHOWN``, then one line counting the rest. With
+    ``skip_long`` the blocks ``clean_treebank`` leaves unchecked are
+    dropped: the cells and parse errors stay the same, but the exclusions
+    and ``trees`` leave out each long block after the first tree.
     """
     tally = pipeline.LanguageTally()
     exclusions: Counter[str] = Counter()
     errors = _ErrorLog()
-    for result in treebank.clean_treebank(stream, fmt, cfg, tag, errors):
+    for result in treebank.clean_treebank(stream, fmt, cfg, tag, errors,
+                                          skip_long=skip_long):
+        if result is treebank.UNCHECKED:
+            continue
         if isinstance(result, ExclusionReason):
             exclusions[result.value] += 1
         else:
@@ -146,10 +156,11 @@ def _fold_stream(stream, fmt: str, cfg: PreprocessConfig, tag: str):
     return tally, exclusions, shown
 
 
-def _fold_file(path: Path, fmt: str, cfg: PreprocessConfig):
+def _fold_file(path: Path, fmt: str, cfg: PreprocessConfig,
+               skip_long: bool):
     """``_fold_stream`` over one file."""
     with open(path, "rb") as fh:
-        return _fold_stream(fh, fmt, cfg, str(path))
+        return _fold_stream(fh, fmt, cfg, str(path), skip_long)
 
 
 def _usable_cpus() -> int:
@@ -177,14 +188,14 @@ def _deal(paths: list[Path], workers: int) -> list[list[int]]:
 
 
 def _fold_share(paths: list[Path], share: list[int], fmt: str,
-                cfg: PreprocessConfig) -> dict:
+                cfg: PreprocessConfig, skip_long: bool) -> dict:
     """``_fold_file`` of each path in ``share`` by index, in order, up to
     the first that fails, which gives its exception instead: no file after
     it is merged."""
     folded = {}
     for i in share:
         try:
-            folded[i] = _fold_file(paths[i], fmt, cfg)
+            folded[i] = _fold_file(paths[i], fmt, cfg, skip_long)
         except Exception as exc:    # raised again where it is merged
             folded[i] = exc
             break
@@ -192,7 +203,7 @@ def _fold_share(paths: list[Path], share: list[int], fmt: str,
 
 
 def _fold_forked(paths: list[Path], shares: list[list[int]], fmt: str,
-                 cfg: PreprocessConfig) -> dict:
+                 cfg: PreprocessConfig, skip_long: bool) -> dict:
     """``_fold_share`` of every share, merged: the first share in this
     process, each other one in a forked child that sends its results back
     as one pickle down its own pipe. A child that ends without sending them
@@ -210,13 +221,14 @@ def _fold_forked(paths: list[Path], shares: list[list[int]], fmt: str,
                 if pid == 0:    # the child: fold, send, and never return
                     status = 1
                     try:
-                        pickle.dump(_fold_share(paths, share, fmt, cfg), pipe)
+                        pickle.dump(_fold_share(paths, share, fmt, cfg,
+                                                skip_long), pipe)
                         pipe.close()
                         status = 0
                     finally:
                         os._exit(status)
             pids.append(pid)
-        folded = _fold_share(paths, shares[0], fmt, cfg)
+        folded = _fold_share(paths, shares[0], fmt, cfg, skip_long)
         for share, r in zip(shares[1:], ends):
             with open(r, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -241,7 +253,8 @@ def _fold_forked(paths: list[Path], shares: list[list[int]], fmt: str,
                 os.waitpid(pid, 0)
 
 
-def _fold_files(paths: list[Path], fmt: str, cfg: PreprocessConfig):
+def _fold_files(paths: list[Path], fmt: str, cfg: PreprocessConfig,
+                skip_long: bool):
     """Yield each path with its ``_fold_file``, in the order of ``paths``.
 
     With several files and CPUs, the files are dealt by size to one share
@@ -254,9 +267,9 @@ def _fold_files(paths: list[Path], fmt: str, cfg: PreprocessConfig):
     workers = min(_usable_cpus(), len(paths), MAX_WORKERS)
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         for path in paths:
-            yield path, _fold_file(path, fmt, cfg)
+            yield path, _fold_file(path, fmt, cfg, skip_long)
         return
-    folded = _fold_forked(paths, _deal(paths, workers), fmt, cfg)
+    folded = _fold_forked(paths, _deal(paths, workers), fmt, cfg, skip_long)
     for i, path in enumerate(paths):
         if isinstance(folded[i], Exception):
             raise folded[i]
@@ -269,6 +282,7 @@ def _load_inputs(args, cfg: PreprocessConfig):
     Files are merged in ``gather_files`` order and stdin after them, so the
     report and stderr do not depend on how many workers folded the files.
     """
+    skip_long = args.report == "csv"     # the one report without exclusions
     tallies: dict[str, pipeline.LanguageTally] = {}
     exclusions: Counter[str] = Counter()
 
@@ -280,11 +294,12 @@ def _load_inputs(args, cfg: PreprocessConfig):
             print(line, file=sys.stderr)
 
     paths = treebank.gather_files(p for p in args.input if p != "-")
-    for path, folded in _fold_files(paths, args.format, cfg):
+    for path, folded in _fold_files(paths, args.format, cfg, skip_long):
         merge(args.language or infer_language(path), folded)
     if "-" in args.input:
         merge(args.language or "stdin",
-              _fold_stream(sys.stdin.buffer, args.format, cfg, "<stdin>"))
+              _fold_stream(sys.stdin.buffer, args.format, cfg, "<stdin>",
+                           skip_long))
     return tallies, dict(exclusions)
 
 

@@ -158,7 +158,9 @@ class LanguageTally:
     ``cells`` is a flat list of nine counts, row by row: the n = 3 trees, the
     n = 4 stars and the n = 4 paths, each split into the trees whose D lies
     above, below and on its random-arrangement mean (columns 0, 1 and 2).
-    ``trees`` counts every tree, of any length.
+    ``trees`` counts every tree, of any length; in a CSV run of
+    ``ddmtest analyze``, which leaves long blocks unchecked, it means only
+    "at least one" (see ``cli._fold_stream``).
     """
 
     def __init__(self):

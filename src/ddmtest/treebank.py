@@ -434,9 +434,10 @@ def preprocess(sentence: RawSentence,
 
 def clean_treebank(stream, fmt: str = "conllu",
                    cfg: PreprocessConfig = PreprocessConfig(),
-                   treebank_id: str = "", errors=None
+                   treebank_id: str = "", errors=None, *,
+                   skip_long: bool = False
                    ) -> Iterator[tuple[int, list[tuple[int, int]]]
-                                 | ExclusionReason]:
+                                 | ExclusionReason | object]:
     """``clean_sentence`` of each sentence of ``stream``, in order.
 
     Yields what ``clean_sentence(s, cfg)`` yields for each ``s`` of
@@ -449,6 +450,11 @@ def clean_treebank(stream, fmt: str = "conllu",
     reader cannot vouch for, or that holds a byte that is not UTF-8, goes
     through the line reader with its real line numbers, and so does the
     rest of an input after a long run with no blank line.
+
+    With ``skip_long``, once the column reader has given a tree, a block it
+    vouches for that keeps more than four words after deletion yields
+    ``UNCHECKED`` instead of a tree with n > 4 or an exclusion: such a
+    block lands in no cell of a tally, so only its fate is left unknown.
     """
     _check_format(fmt)
     if isinstance(stream, bytes):
@@ -476,6 +482,7 @@ def clean_treebank(stream, fmt: str = "conllu",
     default_rules = (cfg.punct_predicate is None
                      and cfg.empty_node_predicate is None)
     punct, null = f.punct[cfg.scheme], f.null.get(cfg.scheme)
+    skip = False                    # skip_long, once a tree is out
     text, line_no = chunk.removeprefix(f.bom), 1    # text starts on line_no
     while True:
         parts = f.blank_re.split(text)  # block, blank lines, ..., block
@@ -486,7 +493,7 @@ def clean_treebank(stream, fmt: str = "conllu",
                                                   fillvalue=empty):
             result = None
             if default_rules and not (escaped and _holds_bad_byte(block)):
-                result = _clean_block(block, f, punct, null)
+                result = _clean_block(block, f, punct, null, skip)
             if result is None:
                 first += text.count(nl, counted, pos)
                 counted = pos
@@ -494,6 +501,7 @@ def clean_treebank(stream, fmt: str = "conllu",
                 # the same line as it does in the whole input
                 yield from by_line(_lines(block + blank), first)
             elif result is not _NO_BLOCK:
+                skip = skip or (skip_long and type(result) is tuple)
                 yield result
             pos += len(block) + len(blank)
         if not chunk:
@@ -527,10 +535,13 @@ def _lines(text: str | bytes) -> Iterator[str | None]:
 
 
 _NO_BLOCK = object()     # _clean_block's answer for a group of no token line
+# clean_treebank's answer, under skip_long, for a block of more than four
+# words whose tree was not checked
+UNCHECKED = object()
 
 
 def _clean_block(group: str | bytes, f: _Form, punct: Callable,
-                 null: Callable | None):
+                 null: Callable | None, skip_long: bool):
     """``clean_sentence``'s result for the block in ``group``, lines with no
     blank line among them, in the form ``f``, under the default rules
     ``punct`` (on the POS column) and ``null`` (on FORM); ``_NO_BLOCK`` if
@@ -538,7 +549,8 @@ def _clean_block(group: str | bytes, f: _Form, punct: Callable,
     every other line has ten columns, there are at most
     ``_MAX_BLOCK_TOKENS`` of them, the regular ids are 1..k, the other ids
     are ranges or empty nodes, and each head is one of 0..k, written
-    plainly, but not its own id.
+    plainly, but not its own id. With ``skip_long``, ``UNCHECKED`` for a
+    block that keeps more than four words.
     """
     nl = f.nl
     body = group[f.opening_re.match(group).end():].rstrip(nl)
@@ -579,6 +591,8 @@ def _clean_block(group: str | bytes, f: _Form, punct: Callable,
         deleted = list(map(punct, pos))
     else:
         deleted = list(map(operator.or_, map(null, forms), map(punct, pos)))
+    if skip_long and k - sum(deleted) > 4:
+        return UNCHECKED
     return _tree_check(head, deleted)
 
 

@@ -395,10 +395,10 @@ class TestWorkers:
             from ddmtest import cli
             cli._usable_cpus = lambda: 3
             parent, fold = os.getpid(), cli._fold_file
-            def dying(path, fmt, cfg):
+            def dying(path, *how):
                 if os.getpid() != parent and path.name == {victim.name!r}:
                     {death}
-                return fold(path, fmt, cfg)
+                return fold(path, *how)
             cli._fold_file = dying
             code = cli.main(["analyze", "--input", {str(data)!r}])
             try:
@@ -425,11 +425,11 @@ class TestWorkers:
         data, _ = _write_mixed_collection(tmp_path)
         parent, fold = os.getpid(), cli._fold_file
 
-        def fold_or_stop(path, fmt, cfg):
+        def fold_or_stop(path, *how):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)      # a child is killed long before
-            return fold(path, fmt, cfg)
+            return fold(path, *how)
 
         monkeypatch.setattr(cli, "_fold_file", fold_or_stop)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
@@ -439,6 +439,99 @@ class TestWorkers:
         assert time.monotonic() - start < 30
         assert len(forks) == 2
         self.assert_reaped(forks)
+
+def _long_block(heads):
+    return "".join(f"{i}\tw\tw\tNOUN\t_\t_\t{h}\tdep\t_\t_\n"
+                   for i, h in enumerate(heads, start=1))
+
+
+LONG_CYCLE = _long_block([5, 1, 2, 3, 4])      # no root: 1 > 5 > 4 > ... > 1
+LONG_TWO_ROOTS = _long_block([0, 1, 0, 3, 4])
+LONG_PATH = _long_block([0, 1, 2, 3, 4])
+
+
+class TestLongBlocks:
+    """A CSV run leaves the blocks of more than four words unchecked once
+    an input has given a tree; it still exits 2 when no block is a tree."""
+
+    @staticmethod
+    def write(tmp_path, files):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, blocks in files.items():
+            (data / name).write_text("\n".join(blocks) + "\n",
+                                     encoding="utf-8")
+        return data
+
+    @staticmethod
+    def run(monkeypatch, capsysbinary, data, how, report):
+        """``ddmtest analyze`` of ``data``'s files pooled or in-process, or
+        of all of them on stdin."""
+        if how == "stdin":
+            stdin = b"\n".join(p.read_bytes() for p in sorted(data.iterdir()))
+            argv = ["analyze", "--input", "-", "--report", report]
+        else:
+            stdin = b""
+            argv = ["analyze", "--input", str(data), "--report", report]
+        cpus = 2 if how == "pooled" else 1
+        return TestWorkers.run(monkeypatch, capsysbinary, argv, cpus, stdin)
+
+    @pytest.mark.parametrize("how", ["pooled", "in-process", "stdin"])
+    @pytest.mark.parametrize("report", ["csv", "json"])
+    def test_only_long_broken_blocks_exit_2(self, tmp_path, monkeypatch,
+                                            capsysbinary, how, report):
+        data = self.write(tmp_path, {
+            "Alpha.conllu": [LONG_CYCLE, LONG_TWO_ROOTS] * 3,
+            "Beta.conllu": [LONG_TWO_ROOTS, LONG_CYCLE]})
+        code, out, err = self.run(monkeypatch, capsysbinary, data, how,
+                                  report)
+        assert code == 2
+        assert err == (b"ddmtest: empty collection: no sentence survived "
+                       b"preprocessing\n")
+        if report == "json":
+            assert json.loads(out)["exclusions"] == {"cycle": 4,
+                                                     "multiple_roots": 4}
+
+    @pytest.mark.parametrize("how", ["pooled", "in-process", "stdin"])
+    @pytest.mark.parametrize("report", ["csv", "json"])
+    def test_long_tree_after_long_broken_blocks_exits_0(
+            self, tmp_path, monkeypatch, capsysbinary, how, report):
+        data = self.write(tmp_path, {
+            "Alpha.conllu": [LONG_CYCLE, LONG_TWO_ROOTS] * 3 + [LONG_PATH],
+            "Beta.conllu": [LONG_TWO_ROOTS, LONG_CYCLE]})
+        code, out, err = self.run(monkeypatch, capsysbinary, data, how,
+                                  report)
+        assert (code, err) == (0, b"")
+        if report == "json":
+            assert json.loads(out)["exclusions"] == {"cycle": 4,
+                                                     "multiple_roots": 4}
+
+    @pytest.mark.parametrize("how", ["pooled", "in-process"])
+    def test_only_csv_leaves_long_blocks_unchecked(self, tmp_path,
+                                                   monkeypatch, capsysbinary,
+                                                   how):
+        data = self.write(tmp_path, {
+            name: [LONG_PATH] + [LONG_CYCLE] * 3 + [LONG_TWO_ROOTS] * 2
+            + [STAR_AT_END] for name in ("Alpha.conllu", "Beta.conllu")})
+        modes = []
+        real = cli.treebank.clean_treebank
+
+        def spy(*args, skip_long=False):
+            modes.append(skip_long)
+            return real(*args, skip_long=skip_long)
+
+        monkeypatch.setattr(cli.treebank, "clean_treebank", spy)
+        runs = {report: self.run(monkeypatch, capsysbinary, data, how, report)
+                for report in ("csv", "json", "markdown")}
+        # this process folds both files, or the first share of one file
+        files = 2 if how == "in-process" else 1
+        assert modes == [True] * files + [False] * 2 * files
+        assert all(run[0] == 0 and run[2] == b"" for run in runs.values())
+        assert json.loads(runs["json"][1])["exclusions"] == {
+            "cycle": 6, "multiple_roots": 4}
+        assert runs["markdown"][1].decode().endswith(
+            "| cycle | 6 |\n| multiple_roots | 4 |\n")
+
 
 def test_cli_import_leaves_heavy_modules_out(tmp_path):
     """Neither importing the package or the CLI nor a pooled CSV run

@@ -542,10 +542,24 @@ def noisy_blocks(draw):
 
 
 @st.composite
-def noisy_inputs(draw):
+def tree_blocks(draw):
+    """One block's lines: a tree on ids 1..k, 5 <= k <= 8, each token's head
+    drawn from the tokens before it in a random order."""
+    k = draw(st.integers(5, 8))
+    order = draw(st.permutations(range(1, k + 1)))
+    heads = {order[0]: 0}
+    for j in range(1, k):
+        heads[order[j]] = order[draw(st.integers(0, j - 1))]
+    tags = st.sampled_from(["X", "X", "PUNCT", "Z:", "N"])
+    return [token_line(i, heads[i], pos=draw(tags)).encode()
+            for i in range(1, k + 1)]
+
+
+@st.composite
+def noisy_inputs(draw, blocks=noisy_blocks()):
     """Blocks between separator lines, in LF or CRLF, with an optional BOM,
     stray bytes, invalid UTF-8 and no final newline."""
-    blocks = draw(st.lists(noisy_blocks(), max_size=8))
+    blocks = draw(st.lists(blocks, max_size=8))
     separators = st.sampled_from(
         [b""] * 12 + [b"\r", b" \t", b"\x0b", "\u2029".encode(), b"\xff"])
     noise = st.binary(max_size=12).map(lambda b: b.replace(b"\n", b""))
@@ -845,6 +859,98 @@ class TestCleanTreebank:
 TAGS = ["PUNCT", "PUNC", "Punc", "PU", "Z", "Z:", "Zx", "Z　", "NULL",
         ",", "...", "«", "…", "、", "x\x1c", "\x85", " ",
         "N", "é", "١", "_", "", "﻿", "ＮＵＬＬ"]
+
+
+def skip_clean(data, fmt="conllu", cfg=PreprocessConfig()):
+    """``block_clean`` with the blocks of more than four words after the
+    first tree left unchecked."""
+    errors: list[ParseError] = []
+    fates = list(clean_treebank(data, fmt, cfg, "t", errors, skip_long=True))
+    return fates, errors
+
+
+def path_block(k, root=1, **kw):
+    """Token lines of a path 1..k whose root is ``root`` (0 for a cycle);
+    each line's ``kw`` overrides by id."""
+    return [token_line(i, kw.get(f"h{i}", 0 if i == root else
+                                 i - 1 if i > root else i + 1),
+                       pos=kw.get(f"p{i}", "X"))
+            for i in range(1, k + 1)]
+
+
+# noisy blocks, and trees long enough to go unchecked
+with_trees = st.one_of(noisy_blocks(), noisy_blocks(), tree_blocks())
+
+
+class TestSkipLong:
+    def test_long_blocks_after_first_tree_go_unchecked(self):
+        blocks = [
+            path_block(5, root=0, h1=5),            # a cycle, checked
+            path_block(5),                          # the first tree
+            path_block(5, h3=0),                    # two roots
+            path_block(6, p2="PUNCT", p6="PUNCT"),  # four words left
+            path_block(5, h4=0)[:4] + [token_line(6, 0)],   # read by line
+            path_block(5, root=0, h1=5),            # a cycle
+            path_block(3),
+        ]
+        data = "\n\n".join("\n".join(b) for b in blocks).encode()
+        full, errors = block_clean(data)
+        assert full[0] is ExclusionReason.CYCLE and full[1][0] == 5
+        assert full[2:] == [ExclusionReason.MULTIPLE_ROOTS, full[3],
+                            ExclusionReason.MULTIPLE_ROOTS,
+                            ExclusionReason.CYCLE, full[6]]
+        assert full[3][0] == 4 and full[6][0] == 3 and errors == []
+        assert skip_clean(data) == (
+            full[:2] + [treebank.UNCHECKED] + full[3:5]
+            + [treebank.UNCHECKED, full[6]], [])
+
+    @given(noisy_inputs(with_trees), st.sampled_from(list(Scheme)),
+           st.sampled_from(["conllu", "conllx"]), chunk_sizes,
+           st.sampled_from(INPUT_KINDS))
+    @settings(max_examples=300, deadline=None)
+    def test_changes_only_long_fates(self, data, scheme, fmt, sizes, kind):
+        """Each unchecked block stands where the full check gives a tree of
+        more than four words or an exclusion, after the first tree; the
+        parse errors are the same, and every block has one fate."""
+        cfg = PreprocessConfig(scheme=scheme)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
+            mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
+            full, full_errors = block_clean(as_input(data, kind)[0], fmt, cfg)
+            fates, errors = skip_clean(as_input(data, kind)[0], fmt, cfg)
+        assert errors == full_errors
+        assert len(fates) == len(full)
+        assert [f if s is treebank.UNCHECKED else s
+                for s, f in zip(fates, full)] == full
+        trees = [i for i, f in enumerate(full) if type(f) is tuple]
+        for i, (s, f) in enumerate(zip(fates, full)):
+            if s is treebank.UNCHECKED:
+                assert isinstance(f, ExclusionReason) or f[0] > 4
+                assert trees[0] < i
+        assert count_blocks(data.split(b"\n")) == (
+            sum(type(s) is tuple for s in fates)
+            + fates.count(treebank.UNCHECKED)
+            + sum(isinstance(s, ExclusionReason) for s in fates)
+            + len(errors))
+
+    @given(noisy_inputs(with_trees), st.sampled_from(list(Scheme)),
+           chunk_sizes, st.sampled_from(INPUT_KINDS))
+    @settings(max_examples=100, deadline=None)
+    def test_cli_fold_keeps_cells_errors_and_emptiness(self, data, scheme,
+                                                       sizes, kind):
+        cfg = PreprocessConfig(scheme=scheme)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
+            mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
+            full = cli._fold_stream(as_input(data, kind)[0], "conllu", cfg,
+                                    "t")
+            skipped = cli._fold_stream(as_input(data, kind)[0], "conllu",
+                                       cfg, "t", skip_long=True)
+        assert skipped[0].cells == full[0].cells
+        assert (skipped[0].trees > 0) == (full[0].trees > 0)
+        assert skipped[0].trees <= full[0].trees
+        assert skipped[1]["parse_error"] == full[1]["parse_error"]
+        assert skipped[2] == full[2]
 
 
 class TestBytesReader:
