@@ -7,8 +7,8 @@ share per worker, one worker per usable CPU up to one per file and at most
 eight: this process folds the first share and a forked child each other
 one. The results are merged in file order, so the report and stderr do
 not depend on the worker count. With one file or one usable CPU, in a
-process that runs other threads, or where the platform cannot fork, the
-files are folded in-process. Stderr shows at most 20 parse errors per
+process that runs other threads, or where the platform cannot fork,
+there is one share and no child. Stderr shows at most 20 parse errors per
 input, then a count of the rest. A CSV report shows no exclusion counts,
 so its run does not check the tree of a block that keeps more than four
 words, once its input has given a tree: the report, stderr and exit code
@@ -209,8 +209,8 @@ def _fold_forked(paths: list[Path], shares: list[list[int]], fmt: str,
     as one pickle down its own pipe. A child that ends without sending them
     gives each file of its share a ``ChildProcessError``; no child outlives
     the call."""
-    import pickle   # here, as a run on one file does not need it
-
+    if len(shares) > 1:
+        import pickle   # here, as a run with no child does not need it
     pids, ends = [], []         # each child's pid and its pipe's read end
     try:
         for share in shares[1:]:
@@ -257,18 +257,17 @@ def _fold_files(paths: list[Path], fmt: str, cfg: PreprocessConfig,
                 skip_long: bool):
     """Yield each path with its ``_fold_file``, in the order of ``paths``.
 
-    With several files and CPUs, the files are dealt by size to one share
-    per worker; this process folds the first share and a forked child each
-    other one. Forked children inherit the imported package instead of
-    importing it again. A process with other threads must not fork, so it
-    folds in-process, as it does where the platform cannot fork. The first
-    file that fails raises its error once the files before it are yielded.
+    The files are dealt by size to one share per worker (one per usable
+    CPU, up to one per file and ``MAX_WORKERS``), and ``_fold_forked``
+    folds the first share here and each other one in a forked child, which
+    inherits the imported package instead of importing it again. A process
+    with other threads must not fork, so it takes one worker, as it does
+    where the platform cannot fork. The first file that fails raises its
+    error once the files before it are yielded.
     """
-    workers = min(_usable_cpus(), len(paths), MAX_WORKERS)
-    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        for path in paths:
-            yield path, _fold_file(path, fmt, cfg, skip_long)
-        return
+    workers = max(1, min(_usable_cpus(), len(paths), MAX_WORKERS))
+    if threading.active_count() > 1 or not hasattr(os, "fork"):
+        workers = 1
     folded = _fold_forked(paths, _deal(paths, workers), fmt, cfg, skip_long)
     for i, path in enumerate(paths):
         if isinstance(folded[i], Exception):

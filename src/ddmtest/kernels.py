@@ -1,10 +1,10 @@
 """Permutation kernels behind the exact arrangement distributions.
 
-Walking all n! linear arrangements of a tree is the one hot loop in this
-package; everything else is counting and closed-form arithmetic. The walk
-feeds ``itertools.permutations`` to numpy in chunks and sums the edge
-distances of a whole chunk at once. It only cross-checks the closed-form
-null probabilities, which ``ddmtest analyze`` uses without enumerating.
+The walk over all n! linear arrangements of a tree feeds
+``itertools.permutations`` to numpy in chunks and sums the edge distances
+of a whole chunk at once. It only cross-checks the closed-form null
+probabilities, which ``ddmtest analyze`` uses without enumerating: the
+command spends its time reading and cleaning the treebanks.
 """
 
 from __future__ import annotations

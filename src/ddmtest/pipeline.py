@@ -445,7 +445,8 @@ def _emit_csv(report: Report) -> str:
         head = _summary_cells(report, s)
         row = ([_csv_quote(c) for c in head[:3]] + [""] * 10 + head[3:])
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    lines.append("")    # the last line end, without a copy of the report
+    return "\n".join(lines)
 
 
 def _emit_markdown(report: Report) -> str:
@@ -475,7 +476,8 @@ def _emit_markdown(report: Report) -> str:
         out.append("|---|---|")
         for reason in sorted(report.exclusions):
             out.append(f"| {reason} | {report.exclusions[reason]} |")
-    return "\n".join(out) + "\n"
+    out.append("")      # the last line end, without a copy of the report
+    return "\n".join(out)
 
 
 def _emit_json(report: Report) -> str:
@@ -501,7 +503,8 @@ def _emit_json(report: Report) -> str:
                        for k in sorted(report.exclusions)},
         "metadata": report.metadata,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    # json.dumps, with the last line end added before the join, not after
+    return "".join([*json.JSONEncoder(indent=2).iterencode(doc), "\n"])
 
 
 def emit_report(report: Report, fmt: str = "csv") -> bytes:

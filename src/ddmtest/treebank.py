@@ -32,24 +32,29 @@ _MAX_BLOCK_TOKENS = 1 << 14  # a block with more token lines is a parse error
 # loose tag patterns seen across annotation schemes (PTB ".", Prague "Z:...",
 # UD "PUNCT", assorted "Punc"/"PU" variants, or the character itself as tag)
 _GENERIC_PUNCT_RE = re.compile(r"PUNCT|PUNC|Punc|punc|PU|Z\S*|[^\w\s]+")
-# a line end and the blank lines after it, as the line reader ends a block
-# at any empty or whitespace-only line: whitespace between two line ends is
-# whole blank lines (regex \s and str.isspace agree on every character)
-_BLANK_RE = re.compile(r"(\n\s*\n)")
 # every character str.isspace accepts (the tests check all code points)
 _SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
            "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
            "\u205f\u3000")
-# a block's regular ids, as the column reader takes them: a block longer
-# than this is read by line
-_IDS = [str(i) for i in range(1, 1025)]
+# the column reader's view of UTF-8 bytes: the comment and empty lines that
+# open a block, the id of a range line or an empty node, a block's regular
+# ids (a block longer than this is read by line) and each head's token
+# index (-1 for the root)
+_OPENING_RE = re.compile(rb"(?:#[^\n]*(?:\n|\Z)|\n)*")
+_OTHER_ID_RE = re.compile(
+    f"{_RANGE_RE.pattern}|{_DECIMAL_RE.pattern}".encode())
+_IDS = [b"%d" % i for i in range(1, 1025)]
+_HEAD_INDEX = dict(zip([b"0"] + _IDS, range(-1, len(_IDS))))
+_BOM_BYTES = _BOM.encode()
 
 
 def _blank_bytes_pattern(spaces: str) -> bytes:
-    """``_BLANK_RE``'s pattern for UTF-8: a line end, any of ``spaces`` in
-    UTF-8 and a line end. Each character is one class of last bytes after
-    its leading bytes; a lookahead on the first bytes (a line end among
-    them) fails most line ends at once."""
+    """A line end, any of ``spaces`` in UTF-8 and a line end: with
+    ``_SPACES``, a line end and the blank lines after it, as the line
+    reader ends a block at any empty or whitespace-only line. Each
+    character is one class of last bytes after its leading bytes; a
+    lookahead on the first bytes (a line end among them) fails most line
+    ends at once."""
     def one_of(values) -> bytes:
         return b"[" + b"".join(b"\\x%02x" % x for x in values) + b"]"
 
@@ -126,44 +131,24 @@ def _generic_punct_utf8(pos: bytes) -> bool:
     return _generic_punct(pos.decode())
 
 
-class _Form:
-    """What ``clean_treebank`` compares its input with, in the input's own
-    type: ``str``, or ``bytes`` holding UTF-8. Each constant is the ``str``
-    one put through ``encode``; ``blank_re`` and the generic punctuation
-    rule are given."""
-
-    def __init__(self, encode: Callable, blank_re: re.Pattern,
-                 generic_punct: Callable):
-        self.bom = encode(_BOM)
-        self.blank_re = blank_re    # a line end and the blank lines after it
-        self.nl, self.tab = encode("\n"), encode("\t")
-        self.comment, self.nl_comment = encode("#"), encode("\n#")
-        self.nl_cell = encode("\t\n\t")   # a line end, as a cell of a block
-        # the comment and empty lines that open a block
-        self.opening_re = re.compile(encode(r"(?:#[^\n]*(?:\n|\Z)|\n)*"))
-        self.isdigit = type(self.nl).isdigit
-        # the id of a range line or an empty node
-        self.other_id = re.compile(encode(f"{_RANGE_RE.pattern}|"
-                                          f"{_DECIMAL_RE.pattern}"))
-        self.ids = list(map(encode, _IDS))
-        # each head's token index (-1 for the root)
-        self.head_index = dict(zip([encode("0")] + self.ids,
-                                   range(-1, len(_IDS))))
-        # the default rules, by scheme
-        self.punct = {Scheme.UD: encode("PUNCT").__eq__,
-                      # Prague positional tags put punctuation in class Z
-                      Scheme.PRAGUE: operator.methodcaller("startswith",
-                                                           encode("Z")),
-                      Scheme.STANFORD: generic_punct,
-                      Scheme.GENERIC: generic_punct}
-        # null elements in the Bengali/Hindi/Telugu HamleDT corpora surface
-        # as tokens whose form is the literal string NULL
-        null = encode("NULL").__eq__
-        self.null = {Scheme.PRAGUE: null, Scheme.STANFORD: null}
+def _default_rules(encode: Callable, generic_punct: Callable
+                   ) -> tuple[dict[Scheme, Callable], dict[Scheme, Callable]]:
+    """The default (punctuation, null element) rules by scheme, on column
+    values of the type ``encode`` makes of a ``str``."""
+    null = encode("NULL").__eq__
+    return ({Scheme.UD: encode("PUNCT").__eq__,
+             # Prague positional tags put punctuation in class Z
+             Scheme.PRAGUE: operator.methodcaller("startswith", encode("Z")),
+             Scheme.STANFORD: generic_punct,
+             Scheme.GENERIC: generic_punct},
+            # null elements in the Bengali/Hindi/Telugu HamleDT corpora
+            # surface as tokens whose form is the literal string NULL
+            {Scheme.PRAGUE: null, Scheme.STANFORD: null})
 
 
-_STR = _Form(str, _BLANK_RE, _generic_punct)      # str() of a str is itself
-_UTF8 = _Form(str.encode, _BLANK_BYTES_RE, _generic_punct_utf8)
+# the rules for the line reader's tokens and for the column reader's bytes
+_TEXT_RULES = _default_rules(str, _generic_punct)   # str() of a str is itself
+_BYTES_RULES = _default_rules(str.encode, _generic_punct_utf8)
 
 
 class PreprocessConfig(FrozenRecord):
@@ -187,7 +172,7 @@ class PreprocessConfig(FrozenRecord):
     def predicates(self) -> tuple[Callable[[RawToken], bool],
                                   Callable[[RawToken], bool] | None]:
         """The (punctuation, non-word node) predicates in effect."""
-        punct, null = _STR.punct[self.scheme], _STR.null.get(self.scheme)
+        punct, null = (rules.get(self.scheme) for rules in _TEXT_RULES)
         return (self.punct_predicate or (lambda token: punct(token.pos)),
                 self.empty_node_predicate or (
                     None if null is None else lambda token: null(token.form)))
@@ -443,9 +428,10 @@ def clean_treebank(stream, fmt: str = "conllu",
     Yields what ``clean_sentence(s, cfg)`` yields for each ``s`` of
     ``parse_treebank(stream, fmt, treebank_id, errors)``, and records the
     same parse errors. ``stream`` is a binary or text file object, or the
-    content itself (``bytes`` or ``str``). It is read a chunk of whole lines
-    at a time and split into blocks at blank lines, as the bytes or the text
-    it holds: bytes are checked to be UTF-8, not decoded. Under the scheme's
+    content itself (``bytes`` or ``str``). Text, a ``str`` or a stream
+    whose ``read`` gives ``str``, goes line by line to the line reader.
+    Bytes are read a chunk of whole lines at a time, split into blocks at
+    blank lines and checked to be UTF-8, not decoded. Under the scheme's
     default rules each block is taken apart by columns; a block the column
     reader cannot vouch for, or that holds a byte that is not UTF-8, goes
     through the line reader with its real line numbers, and so does the
@@ -462,58 +448,59 @@ def clean_treebank(stream, fmt: str = "conllu",
     elif isinstance(stream, str):
         stream = io.StringIO(stream)    # breaks lines at "\n" only
 
-    def read() -> tuple[str | bytes, bool]:
-        """The next chunk of whole lines, and if it holds a bad byte."""
-        chunk = stream.read(_CHUNK_BYTES) + stream.readline()
-        return chunk, not isinstance(chunk, str) and _holds_bad_byte(chunk)
+    def read():                 # the next chunk of whole lines
+        return stream.read(_CHUNK_BYTES) + stream.readline()
 
     def rest_of_input(text):
         while text:
-            yield from _lines(text)
-            text = read()[0]
+            yield from _decoded(io.BytesIO(text))
+            text = read()
 
     def by_line(lines, first_line):
         for sentence in _parse_lines(lines, treebank_id, errors, first_line):
             yield clean_sentence(sentence, cfg)
 
-    chunk, escaped = read()
-    f = _STR if isinstance(chunk, str) else _UTF8
-    nl, empty = f.nl, f.nl[:0]
+    chunk = read()
+    if isinstance(chunk, str):
+        lines = itertools.chain(io.StringIO(chunk), stream)
+        yield from by_line(_iter_lines(lines), 1)
+        return
+    escaped = _holds_bad_byte(chunk)
     default_rules = (cfg.punct_predicate is None
                      and cfg.empty_node_predicate is None)
-    punct, null = f.punct[cfg.scheme], f.null.get(cfg.scheme)
+    punct, null = (rules.get(cfg.scheme) for rules in _BYTES_RULES)
     skip = False                    # skip_long, once a tree is out
-    text, line_no = chunk.removeprefix(f.bom), 1    # text starts on line_no
+    text, line_no = chunk.removeprefix(_BOM_BYTES), 1  # text starts on line_no
     while True:
-        parts = f.blank_re.split(text)  # block, blank lines, ..., block
-        rest = parts.pop() if chunk else empty  # the last block may go on
+        parts = _BLANK_BYTES_RE.split(text)    # block, blank lines, ..., block
+        rest = parts.pop() if chunk else b""    # the last block may go on
         pos = counted = 0               # where ``block`` starts in text
         first = line_no                 # the line that starts at counted
         for block, blank in itertools.zip_longest(parts[0::2], parts[1::2],
-                                                  fillvalue=empty):
+                                                  fillvalue=b""):
             result = None
             if default_rules and not (escaped and _holds_bad_byte(block)):
-                result = _clean_block(block, f, punct, null, skip)
+                result = _clean_block(block, punct, null, skip)
             if result is None:
-                first += text.count(nl, counted, pos)
+                first += text.count(b"\n", counted, pos)
                 counted = pos
                 # with the blank lines after it, so that the block ends on
                 # the same line as it does in the whole input
-                yield from by_line(_lines(block + blank), first)
+                yield from by_line(_decoded(io.BytesIO(block + blank)), first)
             elif result is not _NO_BLOCK:
                 skip = skip or (skip_long and type(result) is tuple)
                 yield result
             pos += len(block) + len(blank)
         if not chunk:
             return
-        line_no = first + text.count(nl, counted, pos)
+        line_no = first + text.count(b"\n", counted, pos)
         escaped = escaped and _holds_bad_byte(rest)
         if len(rest) > _MAX_CARRY_BYTES:
             # no blank line in sight: read the rest line by line
             yield from by_line(rest_of_input(rest), line_no)
             return
-        chunk, bad = read()
-        text, escaped = rest + chunk, escaped or bad
+        chunk = read()
+        text, escaped = rest + chunk, escaped or _holds_bad_byte(chunk)
 
 
 def _holds_bad_byte(data: bytes) -> bool:
@@ -527,64 +514,56 @@ def _holds_bad_byte(data: bytes) -> bool:
     return False
 
 
-def _lines(text: str | bytes) -> Iterator[str | None]:
-    """``text``'s lines as the line reader takes them."""
-    if isinstance(text, str):
-        return io.StringIO(text)
-    return _decoded(io.BytesIO(text))
-
-
 _NO_BLOCK = object()     # _clean_block's answer for a group of no token line
 # clean_treebank's answer, under skip_long, for a block of more than four
 # words whose tree was not checked
 UNCHECKED = object()
 
 
-def _clean_block(group: str | bytes, f: _Form, punct: Callable,
-                 null: Callable | None, skip_long: bool):
-    """``clean_sentence``'s result for the block in ``group``, lines with no
-    blank line among them, in the form ``f``, under the default rules
-    ``punct`` (on the POS column) and ``null`` (on FORM); ``_NO_BLOCK`` if
-    it holds only comments. None, for ``parse_treebank`` to read it, unless
-    every other line has ten columns, there are at most
-    ``_MAX_BLOCK_TOKENS`` of them, the regular ids are 1..k, the other ids
-    are ranges or empty nodes, and each head is one of 0..k, written
-    plainly, but not its own id. With ``skip_long``, ``UNCHECKED`` for a
-    block that keeps more than four words.
+def _clean_block(group: bytes, punct: Callable, null: Callable | None,
+                 skip_long: bool):
+    """``clean_sentence``'s result for the block in ``group``, UTF-8 lines
+    with no blank line among them, under the default rules ``punct`` (on
+    the POS column) and ``null`` (on FORM); ``_NO_BLOCK`` if it holds only
+    comments. None, for ``parse_treebank`` to read it, unless every other
+    line has ten columns, there are at most ``_MAX_BLOCK_TOKENS`` of them,
+    the regular ids are 1..k, the other ids are ranges or empty nodes, and
+    each head is one of 0..k, written plainly, but not its own id. With
+    ``skip_long``, ``UNCHECKED`` for a block that keeps more than four
+    words.
     """
-    nl = f.nl
-    body = group[f.opening_re.match(group).end():].rstrip(nl)
+    body = group[_OPENING_RE.match(group).end():].rstrip(b"\n")
     if not body:
         return _NO_BLOCK
-    if f.nl_comment in body:
-        body = nl.join(line for line in body.split(nl)
-                       if not line.startswith(f.comment))
+    if b"\n#" in body:
+        body = b"\n".join(line for line in body.split(b"\n")
+                          if not line.startswith(b"#"))
     # one cell per column, and a line-end cell between lines: then every
     # line has ten columns if the line-end cells fall every eleventh
-    k = body.count(nl) + 1
+    k = body.count(b"\n") + 1
     if k > _MAX_BLOCK_TOKENS:
         return None
-    cells = body.replace(nl, f.nl_cell).split(f.tab)
-    if len(cells) != 11 * k - 1 or cells[10::11].count(nl) != k - 1:
+    cells = body.replace(b"\n", b"\t\n\t").split(b"\t")
+    if len(cells) != 11 * k - 1 or cells[10::11].count(b"\n") != k - 1:
         return None
     ids = cells[0::11]
     heads, pos, forms = cells[6::11], cells[3::11], cells[1::11]
-    if ids != f.ids[:k]:
+    if ids != _IDS[:k]:
         # drop range lines and empty nodes; the ids left must be 1..k
-        regular = list(map(f.isdigit, ids))
+        regular = list(map(bytes.isdigit, ids))
         for c in itertools.compress(ids, map(operator.not_, regular)):
-            if not f.other_id.fullmatch(c):
+            if not _OTHER_ID_RE.fullmatch(c):
                 return None
         ids = list(itertools.compress(ids, regular))
         k = len(ids)
-        if ids != f.ids[:k]:
+        if ids != _IDS[:k]:
             return None
         if not k:
             return ExclusionReason.EMPTY_AFTER_PREPROCESSING
         heads = list(itertools.compress(heads, regular))
         pos = list(itertools.compress(pos, regular))
         forms = list(itertools.compress(forms, regular))
-    head = list(map(f.head_index.get, heads))
+    head = list(map(_HEAD_INDEX.get, heads))
     if None in head or max(head) >= k or any(map(operator.eq, head, range(k))):
         return None
     if null is None:

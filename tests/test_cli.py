@@ -537,18 +537,24 @@ def test_cli_import_leaves_heavy_modules_out(tmp_path):
     """Neither importing the package or the CLI nor a pooled CSV run
     imports numpy or the standard library's process pools, nor any of
     dataclasses, inspect, logging and json that the interpreter did not
-    load before (whatever ``site`` preloads)."""
+    load before (whatever ``site`` preloads). A one-worker run forks
+    nothing and, by the same rule, does not import pickle either."""
     data, _ = _write_mixed_collection(tmp_path)
     src = Path(ddmtest.__file__).resolve().parents[1]
     code = ("import os, sys; before = set(sys.modules); "
             "heavy = ('numpy', 'multiprocessing', 'concurrent.futures'); "
             "slow = ('dataclasses', 'inspect', 'logging', 'json'); "
-            "added = lambda: sorted(m for m in heavy if m in sys.modules) + "
-            "sorted(m for m in slow if m in set(sys.modules) - before); "
+            "added = lambda *more: sorted(m for m in heavy if m in "
+            "sys.modules) + sorted(m for m in slow + more "
+            "if m in set(sys.modules) - before); "
             "import ddmtest; print(added()); "
             "import ddmtest.cli as c; c.build_parser(); print(added()); "
             "forks, fork = [], os.fork; "
             "os.fork = lambda: forks.append(1) or fork(); "
+            "c._usable_cpus = lambda: 1; "
+            f"c.main(['analyze', '--input', {str(data)!r}, "
+            "'--out', os.devnull]); "
+            "print(len(forks), added('pickle')); "
             "c._usable_cpus = lambda: 3; "
             f"c.main(['analyze', '--input', {str(data)!r}, "
             "'--out', os.devnull]); "
@@ -556,7 +562,16 @@ def test_cli_import_leaves_heavy_modules_out(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(src)))
-    assert result.stdout == "[]\n[]\n2 []\n"
+    assert result.stdout == "[]\n[]\n0 []\n2 []\n"
+
+
+def test_runtime_dependency_list_is_empty():
+    """``ddmtest analyze`` needs only the standard library; numpy comes
+    with the "sim" extra."""
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml",
+              "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
 def test_analyze_runs_without_numpy(tmp_path):

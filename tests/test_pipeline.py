@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -511,6 +512,22 @@ class TestEmitReport:
         assert "## Level summaries" in text
         assert "## Excluded sentences" in text
         assert "| cycle | 1 |" in text
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_emit_holds_one_copy_of_the_report(self, fmt):
+        """Emitting holds the report's lines and at most one copy of the
+        report: the peak above what is kept stays under twice its size.
+        (A JSON report's peak is that of the encoder's pieces.)"""
+        report = analyze_collection(random_collection(3, n_languages=150))
+        emit_report(report, fmt)
+        tracemalloc.start()
+        try:
+            payload = emit_report(report, fmt)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(payload) > 100_000
+        assert peak - kept < 2 * len(payload)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
