@@ -17,6 +17,8 @@ except ImportError as exc:      # the "sim" extra; other modules import it here
     raise ImportError("enumeration and sampling need numpy: "
                       "pip install 'ddmtest[sim]'") from exc
 
+_CHUNK = 100_000    # arrangements summed at once by distance_histogram
+
 
 def _crossing_mask(posmat: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     lo = np.minimum(posmat[:, eu], posmat[:, ev])
@@ -30,8 +32,7 @@ def _crossing_mask(posmat: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.nda
 
 
 def distance_histogram(eu: np.ndarray, ev: np.ndarray, n: int,
-                       noncrossing: bool = False,
-                       chunk: int = 100_000) -> np.ndarray:
+                       noncrossing: bool = False) -> np.ndarray:
     """Exact histogram of the distance sum over all n! arrangements.
 
     ``eu``/``ev`` are 0-based edge endpoints. With ``noncrossing`` only
@@ -44,7 +45,7 @@ def distance_histogram(eu: np.ndarray, ev: np.ndarray, n: int,
     perms = itertools.permutations(range(n))
     row = np.dtype((np.int64, (n,)))
     while True:
-        batch = np.fromiter(itertools.islice(perms, chunk), dtype=row, count=-1)
+        batch = np.fromiter(itertools.islice(perms, _CHUNK), dtype=row, count=-1)
         if batch.size == 0:
             break
         posmat = batch.reshape(-1, n)

@@ -333,7 +333,8 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
                     include_undersampled: bool = True,
                     exclusions: Mapping[str, int] | None = None,
                     metadata: Mapping[str, object] | None = None) -> Report:
-    """Run every requested (level, direction) over each language's tally.
+    """Run every requested (level, direction) over each language's tally,
+    each once, in the order of first mention.
 
     The Holm correction is applied globally across all languages tested at a
     (level, direction), or within each family when ``per_family`` is set.
@@ -341,8 +342,8 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
     unless ``include_undersampled`` is false (they can never reject either
     way, but the Holm factor changes).
     """
-    levels = list(levels) if levels else list(LevelSpec)
-    directions = list(directions) if directions else list(Direction)
+    levels = list(dict.fromkeys(levels or LevelSpec))
+    directions = list(dict.fromkeys(directions or Direction))
     families = dict(families) if families else {}
     languages = sorted(tallies)
     missing = [lang for lang in languages if lang not in families]

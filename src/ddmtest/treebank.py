@@ -32,10 +32,6 @@ _MAX_BLOCK_TOKENS = 1 << 14  # a block with more token lines is a parse error
 # loose tag patterns seen across annotation schemes (PTB ".", Prague "Z:...",
 # UD "PUNCT", assorted "Punc"/"PU" variants, or the character itself as tag)
 _GENERIC_PUNCT_RE = re.compile(r"PUNCT|PUNC|Punc|punc|PU|Z\S*|[^\w\s]+")
-# every character str.isspace accepts (the tests check all code points)
-_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
-           "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
-           "\u205f\u3000")
 # the column reader's view of UTF-8 bytes: the comment and empty lines that
 # open a block, the id of a range line or an empty node, a block's regular
 # ids (a block longer than this is read by line) and each head's token
@@ -47,28 +43,12 @@ _IDS = [b"%d" % i for i in range(1, 1025)]
 _HEAD_INDEX = dict(zip([b"0"] + _IDS, range(-1, len(_IDS))))
 _BOM_BYTES = _BOM.encode()
 
-
-def _blank_bytes_pattern(spaces: str) -> bytes:
-    """A line end, any of ``spaces`` in UTF-8 and a line end: with
-    ``_SPACES``, a line end and the blank lines after it, as the line
-    reader ends a block at any empty or whitespace-only line. Each
-    character is one class of last bytes after its leading bytes; a
-    lookahead on the first bytes (a line end among them) fails most line
-    ends at once."""
-    def one_of(values) -> bytes:
-        return b"[" + b"".join(b"\\x%02x" % x for x in values) + b"]"
-
-    by_lead: dict[bytes, list[int]] = {}
-    for c in spaces:
-        code = c.encode()
-        by_lead.setdefault(code[:-1], []).append(code[-1])
-    firsts = sorted({c.encode()[0] for c in spaces})
-    return (b"(\n(?=" + one_of(firsts) + b")(?:"
-            + b"|".join(re.escape(lead) + one_of(last)
-                        for lead, last in by_lead.items()) + b")*\n)")
-
-
-_BLANK_BYTES_RE = re.compile(_blank_bytes_pattern(_SPACES))
+# a line end and the line after it, if that holds only the ASCII characters
+# str.isspace accepts: such a line ends a block, as for the line reader. A
+# line blank by a character above ASCII (U+0085, U+2028, U+3000, ...) stays
+# in its group; its id cell is not an id, so the column reader refuses the
+# group and the line reader ends the sentence at that line
+_BLANK_BYTES_RE = re.compile(rb"(\n[\t\x0b\x0c\r\x1c-\x1f ]*\n)")
 
 
 class Scheme(Enum):
@@ -431,11 +411,13 @@ def clean_treebank(stream, fmt: str = "conllu",
     content itself (``bytes`` or ``str``). Text, a ``str`` or a stream
     whose ``read`` gives ``str``, goes line by line to the line reader.
     Bytes are read a chunk of whole lines at a time, split into blocks at
-    blank lines and checked to be UTF-8, not decoded. Under the scheme's
-    default rules each block is taken apart by columns; a block the column
-    reader cannot vouch for, or that holds a byte that is not UTF-8, goes
-    through the line reader with its real line numbers, and so does the
-    rest of an input after a long run with no blank line.
+    empty or ASCII-whitespace lines and checked to be UTF-8, not decoded.
+    Under the scheme's default rules each block is taken apart by columns.
+    A block the column reader cannot vouch for, such as one that holds a
+    byte that is not UTF-8, a line blank by other whitespace, a comment
+    after its first token line or only comments, goes through the line
+    reader with its real line numbers. So does the rest of an input after a
+    long run with no blank line.
 
     With ``skip_long``, once the column reader has given a tree, a block it
     vouches for that keeps more than four words after deletion yields
@@ -465,14 +447,14 @@ def clean_treebank(stream, fmt: str = "conllu",
         lines = itertools.chain(io.StringIO(chunk), stream)
         yield from by_line(_iter_lines(lines), 1)
         return
-    escaped = _holds_bad_byte(chunk)
     default_rules = (cfg.punct_predicate is None
                      and cfg.empty_node_predicate is None)
     punct, null = (rules.get(cfg.scheme) for rules in _BYTES_RULES)
     skip = False                    # skip_long, once a tree is out
     text, line_no = chunk.removeprefix(_BOM_BYTES), 1  # text starts on line_no
     while True:
-        parts = _BLANK_BYTES_RE.split(text)    # block, blank lines, ..., block
+        escaped = _holds_bad_byte(text)
+        parts = _BLANK_BYTES_RE.split(text)    # block, blank line, ..., block
         rest = parts.pop() if chunk else b""    # the last block may go on
         pos = counted = 0               # where ``block`` starts in text
         first = line_no                 # the line that starts at counted
@@ -484,23 +466,22 @@ def clean_treebank(stream, fmt: str = "conllu",
             if result is None:
                 first += text.count(b"\n", counted, pos)
                 counted = pos
-                # with the blank lines after it, so that the block ends on
+                # with the blank line after it, so that the block ends on
                 # the same line as it does in the whole input
                 yield from by_line(_decoded(io.BytesIO(block + blank)), first)
-            elif result is not _NO_BLOCK:
+            else:
                 skip = skip or (skip_long and type(result) is tuple)
                 yield result
             pos += len(block) + len(blank)
         if not chunk:
             return
         line_no = first + text.count(b"\n", counted, pos)
-        escaped = escaped and _holds_bad_byte(rest)
         if len(rest) > _MAX_CARRY_BYTES:
             # no blank line in sight: read the rest line by line
             yield from by_line(rest_of_input(rest), line_no)
             return
         chunk = read()
-        text, escaped = rest + chunk, escaped or _holds_bad_byte(chunk)
+        text = rest + chunk
 
 
 def _holds_bad_byte(data: bytes) -> bool:
@@ -514,7 +495,6 @@ def _holds_bad_byte(data: bytes) -> bool:
     return False
 
 
-_NO_BLOCK = object()     # _clean_block's answer for a group of no token line
 # clean_treebank's answer, under skip_long, for a block of more than four
 # words whose tree was not checked
 UNCHECKED = object()
@@ -523,21 +503,15 @@ UNCHECKED = object()
 def _clean_block(group: bytes, punct: Callable, null: Callable | None,
                  skip_long: bool):
     """``clean_sentence``'s result for the block in ``group``, UTF-8 lines
-    with no blank line among them, under the default rules ``punct`` (on
-    the POS column) and ``null`` (on FORM); ``_NO_BLOCK`` if it holds only
-    comments. None, for ``parse_treebank`` to read it, unless every other
-    line has ten columns, there are at most ``_MAX_BLOCK_TOKENS`` of them,
-    the regular ids are 1..k, the other ids are ranges or empty nodes, and
-    each head is one of 0..k, written plainly, but not its own id. With
-    ``skip_long``, ``UNCHECKED`` for a block that keeps more than four
-    words.
+    with no ASCII blank line among them, under the default rules ``punct``
+    (on the POS column) and ``null`` (on FORM). None, for the line reader
+    to read it, unless the opening comment and empty lines are followed by
+    at most ``_MAX_BLOCK_TOKENS`` lines, each of ten columns, the regular
+    ids are 1..k, the other ids are ranges or empty nodes, and each head is
+    one of 0..k, written plainly, but not its own id. With ``skip_long``,
+    ``UNCHECKED`` for a block that keeps more than four words.
     """
     body = group[_OPENING_RE.match(group).end():].rstrip(b"\n")
-    if not body:
-        return _NO_BLOCK
-    if b"\n#" in body:
-        body = b"\n".join(line for line in body.split(b"\n")
-                          if not line.startswith(b"#"))
     # one cell per column, and a line-end cell between lines: then every
     # line has ten columns if the line-end cells fall every eleventh
     k = body.count(b"\n") + 1
@@ -578,17 +552,20 @@ def _clean_block(group: bytes, punct: Callable, null: Callable | None,
 def gather_files(paths: Iterable[str | Path]) -> list[Path]:
     """Expand files and directories into a sorted list of treebank files.
 
-    Directories are searched recursively for *.conllu and *.conll.
+    Directories are searched recursively for *.conllu and *.conll. A file
+    reached twice, as compared by ``Path.resolve``, is kept only where it
+    first appears, as it was given.
     """
-    out: list[Path] = []
+    out: dict[Path, Path] = {}
     for p in paths:
         p = Path(p)
         if p.is_dir():
             found = sorted(q for pat in ("*.conllu", "*.conll")
                            for q in p.rglob(pat))
-            out.extend(found)
         elif p.is_file():
-            out.append(p)
+            found = [p]
         else:
             raise FileNotFoundError(f"no such file or directory: {p}")
-    return out
+        for q in found:
+            out.setdefault(q.resolve(), q)
+    return list(out.values())

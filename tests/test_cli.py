@@ -130,6 +130,29 @@ class TestAnalyzeCommand:
         out = capsysbinary.readouterr().out.decode()
         assert out.splitlines()[0].startswith("collection,")
 
+    def test_repeated_level_reported_once(self, tmp_path, capsysbinary):
+        write_corpus(tmp_path, ["Alpha", "Beta"], sentence=THREE)
+        runs = []
+        for levels in ("n3_all", "n3_all,n3_all"):
+            code = main(["analyze", "--input", str(tmp_path),
+                         "--levels", levels, "--report", "markdown"])
+            runs.append((code, capsysbinary.readouterr()))
+        assert runs[1] == runs[0]
+        assert runs[0][1].out.count(b"| Alpha |") == 2   # above and below
+
+    def test_file_reached_twice_folded_once(self, tmp_path, capsysbinary):
+        d = tmp_path / "c"
+        d.mkdir()
+        write_corpus(d, ["Alpha"], copies=5)
+        (d / "Beta.conllu").write_text((THREE + "\n") * 5 + BROKEN,
+                                       encoding="utf-8")
+        runs = []
+        for inputs in ([d], [d, d], [d, d / "Beta.conllu"]):
+            code = main(["analyze", "--input", *map(str, inputs)])
+            runs.append((code, capsysbinary.readouterr()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert runs[0][1].err.count(b"skipped sentence") == 1
+
     def test_missing_input_exit_1(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "nope.conllu")]) == 1
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ddmtest import (
     EnsembleSpec,
     LinearizedTree,
     TreeShape,
+    binomial_upper_tail_exact,
     enumerate_arrangements,
     expected_d_from_distribution,
     expected_d_random_arrangement,
@@ -146,6 +148,36 @@ class TestMixtureProbability:
         linear = shape_tail_probability(TreeShape.LINEAR, 4, direction)
         assert mixture_probability(EnsembleSpec.real(p_s), direction) == \
             p_s * star + (1 - p_s) * linear
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_plug_in_test_is_conservative_given_the_shapes(self, direction):
+        """n4_all_real tests s stars and l paths against Bin(s + l, p), p =
+        (s / (s + l) + 1) / 4. Given the shapes the null count is Bin(s,
+        1/2) + Bin(l, 1/4), which has less variance: its exact tail at the
+        smallest g of nominal size <= 1/20 is <= 1/20 too."""
+        alpha = Fraction(1, 20)
+        star = shape_tail_probability(TreeShape.STAR, 4, direction)
+        linear = shape_tail_probability(TreeShape.LINEAR, 4, direction)
+
+        def weights(k, q):      # k + 1 binomial masses, times q.denominator^k
+            hit, miss = q.numerator, q.denominator - q.numerator
+            return [math.comb(k, i) * hit ** i * miss ** (k - i)
+                    for i in range(k + 1)]
+
+        for s, l in itertools.product(range(25), repeat=2):
+            m = s + l
+            if not m:
+                continue
+            p = mixture_probability(EnsembleSpec.real(Fraction(s, m)),
+                                    direction)
+            g = next(g for g in range(m + 2)
+                     if binomial_upper_tail_exact(g, m, p) <= alpha)
+            tail = sum(a * b for i, a in enumerate(weights(s, star))
+                       for j, b in enumerate(weights(l, linear))
+                       if i + j >= g)
+            size = Fraction(tail, star.denominator ** s
+                            * linear.denominator ** l)
+            assert size <= alpha, (s, l, g, float(size))
 
 
 class TestNoncrossingMixture:

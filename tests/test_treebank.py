@@ -469,6 +469,16 @@ class TestGatherFiles:
         with pytest.raises(FileNotFoundError):
             gather_files([tmp_path / "nope"])
 
+    def test_file_reached_twice_kept_once(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        a = tmp_path / "a.conllu"
+        b = tmp_path / "b.conllu"
+        for p in (a, b):
+            p.write_text("", encoding="utf-8")
+        again = tmp_path / "sub" / ".." / "a.conllu"
+        assert gather_files([b, tmp_path, again, tmp_path]) == [b, a]
+        assert gather_files([again, tmp_path]) == [again, b]
+
 
 def reference_clean(data, fmt="conllu", cfg=PreprocessConfig()):
     """Each sentence's fate and the parse errors, read line by line."""
@@ -675,10 +685,10 @@ class TestCleanTreebank:
         text = "\ufeff# sent_id = a\n# text = a b\n" + "\n".join([
             "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_", token_line(1, 3),
             "0.1\tE\t_\t_\t_\t_\t_\t_\t_\t_", token_line(2, 3, pos="PUNCT"),
-            token_line(3, 0, form="NULL"), "# comment", token_line(4, 3),
+            token_line(3, 0, form="NULL"), token_line(4, 3),
             "4.1\tE\t_\t_\t_\t_\t_\t_\t_\t_", "", "",
             token_line(1, 2), token_line(2, 0), token_line(3, 2), " \t",
-            token_line(1, 0), "\u2028", token_line(1, 0), token_line(2, 1)])
+            token_line(1, 0), "", token_line(1, 0), token_line(2, 1)])
         cfg = PreprocessConfig(scheme=scheme)
         for kind in INPUT_KINDS:
             stream, content = as_input(text.encode(), kind)
@@ -706,6 +716,8 @@ class TestCleanTreebank:
         [token_line(1, 0), token_line(2, 2)],                # own head
         [token_line(1, "0\r")],                              # "\r" in HEAD
         [token_line(1, 0), "\ufeff" + token_line(2, 1)],
+        [token_line(1, 0), "# c", token_line(2, 1)],         # comment
+        [token_line(1, 0), "\u2028", token_line(1, 0)],      # non-ASCII blank
         [token_line(i, i - 1) for i in range(1, 1026)],      # 1,025 ids
     ])
     def test_each_fallback_reads_by_line(self, lines, by_line):
@@ -1013,17 +1025,28 @@ class TestSkipLong:
 
 class TestBytesReader:
     def test_blank_line_rule_agrees_with_isspace(self):
-        """A line of one or two copies of any code point ends a block of the
-        bytes reader exactly when the line reader calls it blank."""
-        surrogates = range(0xD800, 0xE000)     # no UTF-8 form
-        assert not any(chr(code).isspace() for code in surrogates)
-        lines = [chr(code) * copies for code in range(sys.maxunicode + 1)
-                 if code not in surrogates for copies in (1, 2)]
-        text = "".join(f"a\n{line}\na" for line in lines)
-        blank = [line for line in lines if line.isspace()]
-        assert len(blank) > 50
-        assert [m.group()[1:-1].decode() for m in
-                treebank._BLANK_BYTES_RE.finditer(text.encode())] == blank
+        """A line of one or two copies of an ASCII character ends a block of
+        the bytes reader exactly when the line reader calls it blank; a line
+        blank by a character above ASCII makes the column reader refuse its
+        group, which the line reader then splits there."""
+        for code in set(range(128)) - {ord("\n")}:
+            for line in (chr(code), chr(code) * 2):
+                blank = treebank._BLANK_BYTES_RE.fullmatch(
+                    f"\n{line}\n".encode()) is not None
+                assert blank is line.isspace(), code
+        others = [chr(code) for code in range(128, sys.maxunicode + 1)
+                  if chr(code).isspace()]
+        assert len(others) > 15
+        punct, null = (rules.get(Scheme.UD)
+                       for rules in treebank._BYTES_RULES)
+        for c in others:
+            for line in (c, c * 2):
+                data = "\n".join([token_line(1, 0), line, token_line(1, 0)]
+                                  ).encode()
+                assert treebank._clean_block(data, punct, null, False) is None
+                fates, errors = block_clean(data)
+                assert (fates, errors) == reference_clean(data)
+                assert fates == [(1, [])] * 2, hex(ord(c))
 
     @given(st.one_of(st.sampled_from(TAGS),
                      st.text(st.characters(blacklist_categories=("Cs",)),
