@@ -4,7 +4,9 @@ The core null model keeps each sentence's tree fixed and draws a uniformly
 random permutation of its word positions; the second one additionally draws
 the tree from an ensemble (observed trees, uniform labelled trees, or uniform
 unlabelled trees). For n = 3 and n = 4 every probability is an exact small
-rational, kept as ``Fraction`` throughout.
+rational, kept as ``Fraction`` throughout. The seeded Monte Carlo samplers
+of the core model are the only functions of the package that need numpy
+(the ``sim`` extra).
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
-from .trees import DistanceDistribution, LinearizedTree, TreeShape
+from .trees import DistanceDistribution, LinearizedTree, TreeShape, _numpy
 
 # numpy is imported only by the samplers, for the reason given in trees.py
 if TYPE_CHECKING:
     import numpy as np
+
+_SAMPLE_CHUNK = 250_000     # arrangements drawn at once by sample_distance_sums
 
 
 class Direction(Enum):
@@ -134,8 +138,7 @@ def sample_random_arrangement(tree: LinearizedTree,
     Accepts a seed or a ``numpy.random.Generator``; passing the same seed
     always yields the same arrangement.
     """
-    from .kernels import np
-
+    np = _numpy()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     perm = rng.permutation(tree.n)  # perm[v-1] + 1 is the new position of v
     edges = tuple((int(perm[u - 1]) + 1, int(perm[v - 1]) + 1) for u, v in tree.edges)
@@ -144,10 +147,23 @@ def sample_random_arrangement(tree: LinearizedTree,
 
 def sample_distance_sums(tree: LinearizedTree, size: int,
                          seed: int | np.random.Generator) -> np.ndarray:
-    """D values of ``size`` independent uniform random arrangements (batched)."""
-    from . import kernels
-    from .kernels import np
+    """D values of ``size`` independent uniform random arrangements.
 
+    Row-wise Fisher-Yates shuffles via ``Generator.permuted``, one chunk of
+    arrangements at a time.
+    """
+    np = _numpy()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     eu, ev = tree.edge_arrays()
-    return kernels.sample_distance_sums(eu, ev, tree.n, size, rng)
+    out = np.empty(size, np.int64)
+    done = 0
+    base = np.arange(tree.n, dtype=np.int64)
+    while done < size:
+        b = min(_SAMPLE_CHUNK, size - done)
+        posmat = rng.permuted(np.tile(base, (b, 1)), axis=1)
+        d = np.zeros(b, np.int64)
+        for k in range(len(eu)):
+            d += np.abs(posmat[:, eu[k]] - posmat[:, ev[k]])
+        out[done:done + b] = d
+        done += b
+    return out

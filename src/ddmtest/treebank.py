@@ -43,12 +43,13 @@ _IDS = [b"%d" % i for i in range(1, 1025)]
 _HEAD_INDEX = dict(zip([b"0"] + _IDS, range(-1, len(_IDS))))
 _BOM_BYTES = _BOM.encode()
 
-# a line end and the line after it, if that holds only the ASCII characters
-# str.isspace accepts: such a line ends a block, as for the line reader. A
-# line blank by a character above ASCII (U+0085, U+2028, U+3000, ...) stays
-# in its group; its id cell is not an id, so the column reader refuses the
-# group and the line reader ends the sentence at that line
-_BLANK_BYTES_RE = re.compile(rb"(\n[\t\x0b\x0c\r\x1c-\x1f ]*\n)")
+# a line end and the whole run of lines after it that hold only the ASCII
+# characters str.isspace accepts (the class holds "\n" too): such lines end
+# a block, as for the line reader. A line blank by a character above ASCII
+# (U+0085, U+2028, U+3000, ...) stays in its group; its id cell is not an
+# id, so the column reader refuses the group and the line reader ends the
+# sentence at that line
+_BLANK_BYTES_RE = re.compile(rb"(\n[\t-\r\x1c-\x1f ]*\n)")
 
 
 class Scheme(Enum):
@@ -411,7 +412,8 @@ def clean_treebank(stream, fmt: str = "conllu",
     content itself (``bytes`` or ``str``). Text, a ``str`` or a stream
     whose ``read`` gives ``str``, goes line by line to the line reader.
     Bytes are read a chunk of whole lines at a time, split into blocks at
-    empty or ASCII-whitespace lines and checked to be UTF-8, not decoded.
+    runs of empty or ASCII-whitespace lines and checked to be UTF-8, not
+    decoded.
     Under the scheme's default rules each block is taken apart by columns.
     A block the column reader cannot vouch for, such as one that holds a
     byte that is not UTF-8, a line blank by other whitespace, a comment
@@ -454,25 +456,27 @@ def clean_treebank(stream, fmt: str = "conllu",
     text, line_no = chunk.removeprefix(_BOM_BYTES), 1  # text starts on line_no
     while True:
         escaped = _holds_bad_byte(text)
-        parts = _BLANK_BYTES_RE.split(text)    # block, blank line, ..., block
+        parts = _BLANK_BYTES_RE.split(text)    # block, blank lines, ..., block
         rest = parts.pop() if chunk else b""    # the last block may go on
-        pos = counted = 0               # where ``block`` starts in text
+        pos = counted = 0               # where the next block starts in text
         first = line_no                 # the line that starts at counted
         for block, blank in itertools.zip_longest(parts[0::2], parts[1::2],
                                                   fillvalue=b""):
+            start, pos = pos, pos + len(block) + len(blank)
+            if not block:               # blank lines open or end the text
+                continue
             result = None
             if default_rules and not (escaped and _holds_bad_byte(block)):
                 result = _clean_block(block, punct, null, skip)
             if result is None:
-                first += text.count(b"\n", counted, pos)
-                counted = pos
-                # with the blank line after it, so that the block ends on
+                first += text.count(b"\n", counted, start)
+                counted = start
+                # with the blank lines after it, so that the block ends on
                 # the same line as it does in the whole input
                 yield from by_line(_decoded(io.BytesIO(block + blank)), first)
             else:
                 skip = skip or (skip_long and type(result) is tuple)
                 yield result
-            pos += len(block) + len(blank)
         if not chunk:
             return
         line_no = first + text.count(b"\n", counted, pos)

@@ -7,15 +7,16 @@ linear arrangement. Edges are undirected.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
 
-# numpy (the "sim" extra) and the kernels are imported inside the functions
-# that use them: the analysis never enumerates, runs without numpy, and
-# importing it would double the command line's start-up time.
+# numpy (the "sim" extra) is imported, through _numpy, only by the samplers:
+# the analysis and the enumeration run without it, and importing it would
+# double the command line's start-up time.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -83,9 +84,8 @@ class LinearizedTree(FrozenRecord):
         return max(self.degrees) if self.n > 1 else 0
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based endpoint arrays for the kernels."""
-        from .kernels import np
-
+        """0-based endpoint arrays for the sampler."""
+        np = _numpy()
         if not self.edges:
             return np.empty(0, np.int64), np.empty(0, np.int64)
         arr = np.asarray(self.edges, np.int64) - 1
@@ -164,19 +164,60 @@ def enumerate_arrangements(tree: LinearizedTree,
     """Exact distribution of D over all n! arrangements of the tree.
 
     With ``restrict_noncrossing`` only crossing-free arrangements are counted,
-    so the total drops below n!. Refuses n above ``cap`` (n! blowup); sample
-    with ``nullmodels.sample_distance_sums`` instead.
+    so the total drops below n!. Refuses n above ``cap``; sample with
+    ``nullmodels.sample_distance_sums`` instead.
     """
     if tree.n > cap:
         raise EnumerationCapError(
             f"n={tree.n} exceeds the enumeration cap ({cap}); "
             "use Monte Carlo sampling for larger trees")
-    from . import kernels
-
-    eu, ev = tree.edge_arrays()
-    hist = kernels.distance_histogram(eu, ev, tree.n, restrict_noncrossing)
-    counts = {int(d): int(c) for d, c in enumerate(hist) if c}
-    return DistanceDistribution(counts=counts, total=int(hist.sum()))
+    # The vertices are placed from left to right. D is the sum, over the
+    # n - 1 gaps, of the edges that cross each gap, and that number depends
+    # only on the set already placed. So the arrangements are counted by
+    # placed set, 2^n of them, not one by one.
+    # Crossing-free, the state also holds the open groups: for each placed
+    # vertex that still has unplaced neighbours, the set of those neighbours,
+    # in placement order. x may come next only if every group after the
+    # first one that holds x is exactly {x}: then the edges that close at x
+    # nest. Those groups close, x leaves the first one, and x's own unplaced
+    # neighbours open a group at the end.
+    # A histogram is one integer whose d-th digit, base 2^width, counts
+    # D = d. No count exceeds n!, so digits never carry: adding integers
+    # adds histograms, and a shift by width * c adds c to every D.
+    n = tree.n
+    neighbours = [0] * n                # bitmasks over 0-based vertices
+    for u, v in tree.edges:
+        neighbours[u - 1] |= 1 << v - 1
+        neighbours[v - 1] |= 1 << u - 1
+    width = math.factorial(n).bit_length()
+    states = {(0, ()): 1}               # (placed, open groups) -> histogram
+    for _ in range(n):
+        after = {}
+        for (placed, groups), hist in states.items():
+            # add the edges that cross the gap after the placed vertices
+            hist <<= width * sum((neighbours[v] & ~placed).bit_count()
+                                 for v in range(n) if placed >> v & 1)
+            for x, near in enumerate(neighbours):
+                bit = 1 << x
+                if placed & bit:
+                    continue
+                kept = ()
+                if restrict_noncrossing:
+                    i = next((i for i, g in enumerate(groups) if g & bit),
+                             len(groups))
+                    if any(g != bit for g in groups[i + 1:]):
+                        continue
+                    left = [g & ~bit for g in groups[i:i + 1]]
+                    kept = groups[:i] + tuple(
+                        g for g in left + [near & ~placed] if g)
+                key = placed | bit, kept
+                after[key] = after.get(key, 0) + hist
+        states = after
+    (hist,) = states.values()
+    digit = (1 << width) - 1
+    counts = {d: c for d in range((n - 1) ** 2 + 1)
+              if (c := hist >> width * d & digit)}
+    return DistanceDistribution(counts=counts, total=sum(counts.values()))
 
 
 def min_d_formula(shape: TreeShape, n: int) -> int:
@@ -188,3 +229,13 @@ def min_d_formula(shape: TreeShape, n: int) -> int:
     if shape is TreeShape.STAR:
         return (n * n - (n % 2)) // 4
     raise ValueError(f"no closed form for shape {shape.value!r}")
+
+
+def _numpy():
+    """numpy, or an ImportError that says how to install it."""
+    try:
+        import numpy
+    except ImportError as exc:      # the "sim" extra
+        raise ImportError("sampling needs numpy: "
+                          "pip install 'ddmtest[sim]'") from exc
+    return numpy

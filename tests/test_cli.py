@@ -599,8 +599,8 @@ def test_runtime_dependency_list_is_empty():
 
 def test_analyze_runs_without_numpy(tmp_path):
     """numpy comes with the "sim" extra: with it blocked, ``python -m
-    ddmtest.cli analyze`` writes the same report, and enumeration and
-    sampling say what to install."""
+    ddmtest.cli analyze`` writes the same report, enumeration still
+    works, and sampling says what to install."""
     data, _ = _write_mixed_collection(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(
         Path(ddmtest.__file__).resolve().parents[1]))
@@ -614,13 +614,16 @@ def test_analyze_runs_without_numpy(tmp_path):
     assert normal.returncode == without.returncode == 0
     assert without.stdout == normal.stdout != b""
     assert without.stderr == normal.stderr
-    for call in ("enumerate_arrangements(tree)",
-                 "sample_random_arrangement(tree, 1)",
+    tree = "from ddmtest import *; tree = LinearizedTree(2, [(1, 2)])\n"
+    code = (no_numpy + tree + "for noncrossing in (False, True):\n"
+            "    print(enumerate_arrangements(tree, noncrossing).counts)")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True, env=env)
+    assert result.stdout == "{1: 2}\n{1: 2}\n"
+    for call in ("sample_random_arrangement(tree, 1)",
                  "sample_distance_sums(tree, 5, 1)", "tree.edge_arrays()"):
-        code = (no_numpy + "from ddmtest import *; "
-                "tree = LinearizedTree(2, [(1, 2)])\n"
-                f"try:\n    {call}\nexcept ImportError as exc:\n"
-                "    print(exc)")
+        code = (no_numpy + tree + f"try:\n    {call}\n"
+                "except ImportError as exc:\n    print(exc)")
         result = subprocess.run([sys.executable, "-c", code], check=True,
                                 capture_output=True, text=True, env=env)
         assert "pip install 'ddmtest[sim]'" in result.stdout, call

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import path_tree, star_tree
+from ddmtest import nullmodels
 from ddmtest import (
     Direction,
     DistanceDistribution,
@@ -267,3 +268,23 @@ class TestSampleRandomArrangement:
             p = count / dist.total
             se = math.sqrt(p * (1 - p) / len(d))
             assert abs((d == value).mean() - p) <= 4 * se
+
+
+class TestSampleDistanceSums:
+    def test_seed_reproducible(self):
+        tree = star_tree(4)
+        a = sample_distance_sums(tree, 1000, np.random.default_rng(5))
+        b = sample_distance_sums(tree, 1000, np.random.default_rng(5))
+        assert np.array_equal(a, b)
+
+    def test_chunking_transparent(self, monkeypatch):
+        tree = path_tree(5)
+        monkeypatch.setattr(nullmodels, "_SAMPLE_CHUNK", 100)
+        a = sample_distance_sums(tree, 777, np.random.default_rng(1))
+        monkeypatch.setattr(nullmodels, "_SAMPLE_CHUNK", 10_000)
+        b = sample_distance_sums(tree, 777, np.random.default_rng(1))
+        assert np.array_equal(a, b)
+
+    def test_values_in_support(self):
+        d = sample_distance_sums(star_tree(4), 5000, np.random.default_rng(2))
+        assert set(np.unique(d)) <= {4, 6}

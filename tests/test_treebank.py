@@ -689,15 +689,23 @@ class TestCleanTreebank:
             "4.1\tE\t_\t_\t_\t_\t_\t_\t_\t_", "", "",
             token_line(1, 2), token_line(2, 0), token_line(3, 2), " \t",
             token_line(1, 0), "", token_line(1, 0), token_line(2, 1)])
+        # a run of blank lines ends a block, and an input may end in one
+        one, two = [token_line(1, 0)], [token_line(1, 2), token_line(2, 0)]
+        texts = {text: 4}
+        for end in ("\n", "\r\n"):
+            for blank_run in (["", "", ""], ["", ""], ["", " "]):
+                texts[end.join(one + blank_run + two) + end] = 2
+            texts[end.join(one + [""] + two + [""]) + end] = 2
         cfg = PreprocessConfig(scheme=scheme)
-        for kind in INPUT_KINDS:
-            stream, content = as_input(text.encode(), kind)
-            by_line.clear()     # the reference reads by line
-            fates, errors = block_clean(stream, cfg=cfg)
-            if kind in ("binary stream", "bytes"):
-                assert by_line == [], kind
-            assert (fates, errors) == reference_clean(content, cfg=cfg)
-            assert errors == [] and len(fates) == 4
+        for text, sentences in texts.items():
+            for kind in INPUT_KINDS:
+                stream, content = as_input(text.encode(), kind)
+                by_line.clear()     # the reference reads by line
+                fates, errors = block_clean(stream, cfg=cfg)
+                if kind in ("binary stream", "bytes"):
+                    assert by_line == [], (text, kind)
+                assert (fates, errors) == reference_clean(content, cfg=cfg)
+                assert errors == [] and len(fates) == sentences
 
     @pytest.mark.parametrize("lines", [
         [token_line(1, 0), "1\tonly\tthree"],

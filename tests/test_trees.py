@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -195,9 +196,50 @@ class TestEnumerateArrangements:
             assert enumerate_arrangements(tree).mean() == Fraction(n * n - 1, 3)
 
     def test_total_is_factorial(self):
-        import math
         for n in range(2, 7):
             assert enumerate_arrangements(path_tree(n)).total == math.factorial(n)
+
+    @pytest.mark.parametrize("noncrossing", [False, True])
+    @pytest.mark.parametrize("maker,n", [
+        (path_tree, 3), (path_tree, 5), (path_tree, 7),
+        (star_tree, 4), (star_tree, 6),
+        (caterpillar_tree, 5), (caterpillar_tree, 7),
+    ])
+    def test_histogram_matches_brute_force(self, maker, n, noncrossing):
+        tree = maker(n)
+        dist = enumerate_arrangements(tree, noncrossing)
+        assert dist.counts == dict(brute_force_distribution(tree, noncrossing))
+
+    def test_single_vertex(self):
+        assert enumerate_arrangements(LinearizedTree(1, ())).counts == {0: 1}
+
+    @given(random_trees(max_n=8), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_random_trees_against_brute_force(self, tree, noncrossing):
+        dist = enumerate_arrangements(tree, noncrossing)
+        assert dist.counts == dict(brute_force_distribution(tree, noncrossing))
+
+    @pytest.mark.parametrize("tree", [
+        path_tree(10), star_tree(10),
+        LinearizedTree(10, [(1, 2), (1, 3), (1, 8), (2, 4), (3, 5), (3, 6),
+                            (5, 10), (6, 7), (8, 9)]),
+    ], ids=["path", "star", "random"])
+    def test_closed_forms_at_n10(self, tree):
+        # brute force is too slow here: the total is n!, the mean is
+        # (n^2 - 1)/3, and n * prod(deg(v)!) arrangements are crossing-free
+        full = enumerate_arrangements(tree)
+        assert full.total == math.factorial(10)
+        assert full.mean() == Fraction(10 * 10 - 1, 3)
+        crossing_free = enumerate_arrangements(tree, restrict_noncrossing=True)
+        assert crossing_free.total == \
+            10 * math.prod(map(math.factorial, tree.degrees))
+
+    def test_crossing_free_paths_and_stars_at_n10(self):
+        path = enumerate_arrangements(path_tree(10), restrict_noncrossing=True)
+        assert path.total == 2_560
+        star = star_tree(10)
+        assert enumerate_arrangements(star, restrict_noncrossing=True) == \
+            enumerate_arrangements(star)
 
     def test_cap_refusal(self):
         big = path_tree(11)
