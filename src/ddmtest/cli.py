@@ -3,37 +3,37 @@
 Reads treebank files (or stdin) in one streaming pass that folds each
 cleaned sentence into its language's tally, then runs the six-level
 analysis and writes the report. The files are dealt by size into one
-share per worker, one worker per usable CPU up to one per file and at most
-eight: this process folds the first share and a forked child each other
-one. The results are merged in file order, so the report and stderr do
-not depend on the worker count. With one file or one usable CPU, in a
-process that runs other threads, or where the platform cannot fork,
-there is one share and no child. Stderr shows at most 20 parse errors per
-input, then a count of the rest. A CSV report shows no exclusion counts,
-so its run does not check the tree of a block that keeps more than four
-words, once its input has given a tree: the report, stderr and exit code
-are the same. Exit codes: 0 success, 1 argument/format error, 2 empty
-collection (nothing survived preprocessing).
+share per worker of the fork pool (``_pool``), one worker per usable CPU
+up to one per file and at most eight: this process folds the first share
+and a forked child each other one. The results are merged in file order,
+so the report and stderr do not depend on the worker count. With one file
+or one usable CPU, in a process that runs other threads, or where the
+platform cannot fork, there is one share and no child. The test stage
+(``pipeline.analyze_tallies``) deals the languages out on the same pool
+once their tests are large enough to repay a fork. Stderr shows at most
+20 parse errors per input, then a count of the rest. A CSV report shows
+no exclusion counts, so its run does not check the tree of a block that
+keeps more than four words, once its input has given a tree: the report,
+stderr and exit code are the same. Exit codes: 0 success, 1
+argument/format error or a worker that died, 2 empty collection (nothing
+survived preprocessing).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
-import threading
 from collections import Counter
 from pathlib import Path
 
-from . import pipeline, treebank
+from . import _pool, pipeline, treebank
 from .nullmodels import Direction
 from .pipeline import LevelSpec
 from .treebank import ExclusionReason, ParseError, PreprocessConfig, Scheme
 
 _UD_DIR_RE = re.compile(r"UD_([A-Za-z_]+?)(?:-|$)")
 MAX_ERRORS_SHOWN = 20   # parse errors printed per input; the rest are counted
-MAX_WORKERS = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,30 +163,6 @@ def _fold_file(path: Path, fmt: str, cfg: PreprocessConfig,
         return _fold_stream(fh, fmt, cfg, str(path), skip_long)
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _deal(paths: list[Path], workers: int) -> list[list[int]]:
-    """The indices of ``paths`` in ``workers`` shares, each share in path
-    order: largest file first, each to the share with the fewest bytes."""
-    sizes = []
-    for path in paths:
-        try:
-            sizes.append(path.stat().st_size)
-        except OSError:         # the fold reports it in order
-            sizes.append(0)
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(range(len(paths)), key=sizes.__getitem__, reverse=True):
-        least = loads.index(min(loads))
-        shares[least].append(i)
-        loads[least] += sizes[i]
-    return [sorted(share) for share in shares]
-
-
 def _fold_share(paths: list[Path], share: list[int], fmt: str,
                 cfg: PreprocessConfig, skip_long: bool) -> dict:
     """``_fold_file`` of each path in ``share`` by index, in order, up to
@@ -202,73 +178,29 @@ def _fold_share(paths: list[Path], share: list[int], fmt: str,
     return folded
 
 
-def _fold_forked(paths: list[Path], shares: list[list[int]], fmt: str,
-                 cfg: PreprocessConfig, skip_long: bool) -> dict:
-    """``_fold_share`` of every share, merged: the first share in this
-    process, each other one in a forked child that sends its results back
-    as one pickle down its own pipe. A child that ends without sending them
-    gives each file of its share a ``ChildProcessError``; no child outlives
-    the call."""
-    if len(shares) > 1:
-        import pickle   # here, as a run with no child does not need it
-    pids, ends = [], []         # each child's pid and its pipe's read end
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            ends.append(r)
-            with open(w, "wb") as pipe:     # this process's copy closes
-                pid = os.fork()
-                if pid == 0:    # the child: fold, send, and never return
-                    status = 1
-                    try:
-                        pickle.dump(_fold_share(paths, share, fmt, cfg,
-                                                skip_long), pipe)
-                        pipe.close()
-                        status = 0
-                    finally:
-                        os._exit(status)
-            pids.append(pid)
-        folded = _fold_share(paths, shares[0], fmt, cfg, skip_long)
-        for share, r in zip(shares[1:], ends):
-            with open(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
-            if status == 0:
-                folded.update(pickle.loads(data))
-                continue
-            how = (f"killed by signal {-status}" if status < 0
-                   else f"exit status {status}")
-            folded.update(dict.fromkeys(share, ChildProcessError(
-                f"the worker folding {paths[share[0]]} died before sending "
-                f"its results ({how})")))
-        return folded
-    finally:
-        for r in ends:
-            os.close(r)
-        if pids:                # left only by an error in this process
-            import signal
-
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def _fold_files(paths: list[Path], fmt: str, cfg: PreprocessConfig,
                 skip_long: bool):
     """Yield each path with its ``_fold_file``, in the order of ``paths``.
 
-    The files are dealt by size to one share per worker (one per usable
-    CPU, up to one per file and ``MAX_WORKERS``), and ``_fold_forked``
-    folds the first share here and each other one in a forked child, which
-    inherits the imported package instead of importing it again. A process
-    with other threads must not fork, so it takes one worker, as it does
-    where the platform cannot fork. The first file that fails raises its
-    error once the files before it are yielded.
+    The files are dealt by size to one share per worker of the fork pool
+    (``_pool.workers``, up to one per file), which folds the first share
+    here and each other one in a forked child. A child that dies gives
+    each file of its share its ``ChildProcessError``. The first file that
+    fails raises its error once the files before it are yielded.
     """
-    workers = max(1, min(_usable_cpus(), len(paths), MAX_WORKERS))
-    if threading.active_count() > 1 or not hasattr(os, "fork"):
-        workers = 1
-    folded = _fold_forked(paths, _deal(paths, workers), fmt, cfg, skip_long)
+    sizes = []
+    for path in paths:
+        try:
+            sizes.append(path.stat().st_size)
+        except OSError:         # the fold reports it in order
+            sizes.append(0)
+    shares = _pool.deal(sizes, _pool.workers(len(paths)))
+    folded = {}
+    for share, result in zip(shares, _pool.run(
+            lambda share: _fold_share(paths, share, fmt, cfg, skip_long),
+            shares, lambda share: f"folding {paths[share[0]]}")):
+        folded.update(dict.fromkeys(share, result)
+                      if isinstance(result, Exception) else result)
     for i, path in enumerate(paths):
         if isinstance(folded[i], Exception):
             raise folded[i]
@@ -331,17 +263,21 @@ def _run_analyze(args) -> int:
         print(f"ddmtest: error: {exc}", file=sys.stderr)
         return 1
 
-    report = pipeline.analyze_tallies(
-        tallies, families=families, alpha=args.alpha, levels=levels,
-        directions=directions, collection=args.collection,
-        per_family=args.per_family,
-        noncrossing=args.noncrossing_diagnostic,
-        include_undersampled=not args.exclude_undersampled,
-        exclusions=exclusions,
-        metadata={"format": args.format,
-                  "scheme": scheme.value,
-                  "noncrossing_diagnostic": args.noncrossing_diagnostic,
-                  "per_family": args.per_family})
+    try:
+        report = pipeline.analyze_tallies(
+            tallies, families=families, alpha=args.alpha, levels=levels,
+            directions=directions, collection=args.collection,
+            per_family=args.per_family,
+            noncrossing=args.noncrossing_diagnostic,
+            include_undersampled=not args.exclude_undersampled,
+            exclusions=exclusions,
+            metadata={"format": args.format,
+                      "scheme": scheme.value,
+                      "noncrossing_diagnostic": args.noncrossing_diagnostic,
+                      "per_family": args.per_family})
+    except ChildProcessError as exc:    # a test worker died
+        print(f"ddmtest: error: {exc}", file=sys.stderr)
+        return 1
     payload = pipeline.emit_report(report, args.report)
     if args.out:
         try:

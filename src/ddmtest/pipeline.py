@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from . import stats
+from . import _pool, stats
 from ._record import FrozenRecord, Record
 from .nullmodels import Direction, EnsembleSpec, \
     expected_d_random_arrangement, mixture_probability, \
@@ -25,6 +25,9 @@ from .trees import LinearizedTree, TreeShape
 
 _LN10 = math.log(10.0)
 UNKNOWN_FAMILY = "Unknown"
+# the total m (over languages and levels) from which analyze_tallies runs the
+# tests on the fork pool; README "Performance" gives the measured crossover
+FORK_MIN_M = 100_000
 
 
 class LevelSpec(Enum):
@@ -313,7 +316,8 @@ def analyze_collection(treebanks: Mapping[str, Sequence[LinearizedTree]],
                        include_undersampled: bool = True,
                        exclusions: Mapping[str, int] | None = None,
                        metadata: Mapping[str, object] | None = None) -> Report:
-    """``analyze_tallies`` over each language's trees, folded once."""
+    """``analyze_tallies`` over each language's trees, folded once; like
+    it, this forks worker processes for a large enough test stage."""
     return analyze_tallies(
         {lang: fold_trees(trees) for lang, trees in treebanks.items()},
         families=families, alpha=alpha, levels=levels, directions=directions,
@@ -341,6 +345,14 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
     Languages too small to ever reach significance still enter the correction
     unless ``include_undersampled`` is false (they can never reject either
     way, but the Holm factor changes).
+
+    The tests of one language are one item of work. Once the m of every
+    language over the requested levels adds up to ``FORK_MIN_M``, the
+    languages are dealt by that sum to the workers of the fork pool
+    (``_pool``): this process tests the first share and a forked child
+    each other one, and the results are put back in language order, so
+    the report does not depend on the worker count. A worker that dies
+    raises its ``ChildProcessError``; no child outlives the call.
     """
     levels = list(dict.fromkeys(levels or LevelSpec))
     directions = list(dict.fromkeys(directions or Direction))
@@ -360,43 +372,67 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
         return report
 
     min_sizes: dict = {}    # this call's min_sample_size answers
+    plan = []               # (level, direction, counts by language, p)
+    weights = [0] * len(languages)      # each language's m, over the levels
     for level in levels:
         counts = {lang: tallies[lang].level_counts(level, lang, noncrossing)
                   for lang in languages}
+        weights = [w + counts[lang].m for w, lang in zip(weights, languages)]
         for direction in directions:
             # one p for the level, but one per language for the real
             # ensemble, whose star fraction is the language's own
             p = None if level is LevelSpec.N4_ALL_REAL else \
                 success_probability(counts[languages[0]], direction,
                                     noncrossing)
-            pre = [run_tests(counts[lang], direction, alpha, noncrossing,
-                             family=families.get(lang, UNKNOWN_FAMILY),
-                             min_sizes=min_sizes, p=p)
-                   for lang in languages if counts[lang].m >= 1]
-            l0 = len(pre)
-            l = sum(r.adequately_sampled for r in pre)
-            f = sum(r.p_value <= alpha for r in pre)
-            in_family = [r for r in pre
-                         if include_undersampled or r.adequately_sampled]
-            out_family = [r for r in pre
-                          if not (include_undersampled or r.adequately_sampled)]
-            finalized: list[TestResult] = []
-            if in_family:
-                if per_family:
-                    by_family: dict[str, list[TestResult]] = {}
-                    for r in in_family:
-                        by_family.setdefault(r.family, []).append(r)
-                    for group in by_family.values():
-                        finalized.extend(_holm_finalize(group, alpha))
-                else:
-                    finalized.extend(_holm_finalize(in_family, alpha))
-            finalized.extend(out_family)
-            finalized.sort(key=lambda r: r.language)
-            f_holm = sum(r.significant for r in finalized)
-            report.summaries.append(LevelSummary(
-                level=level, direction=direction, l0=l0, l=l, f=f,
-                f_holm=f_holm))
-            report.results.extend(finalized)
+            plan.append((level, direction, counts, p))
+
+    def test_share(share: list[int]) -> list[list[TestResult | None]]:
+        """Each language's tests in ``plan`` order, None where m = 0."""
+        return [[run_tests(counts[lang], direction, alpha, noncrossing,
+                           family=families.get(lang, UNKNOWN_FAMILY),
+                           min_sizes=min_sizes, p=p)
+                 if counts[lang].m >= 1 else None
+                 for _, direction, counts, p in plan]
+                for lang in map(languages.__getitem__, share)]
+
+    workers = (_pool.workers(len(languages)) if sum(weights) >= FORK_MIN_M
+               else 1)
+    shares = _pool.deal(weights, workers)
+    tested: list = [None] * len(languages)     # test_share's, by language
+    for share, result in zip(shares, _pool.run(
+            test_share, shares,
+            lambda share: f"testing {languages[share[0]]}")):
+        if isinstance(result, Exception):
+            raise result
+        for i, tests in zip(share, result):
+            tested[i] = tests
+
+    for k, (level, direction, _, _) in enumerate(plan):
+        pre = [tests[k] for tests in tested if tests[k] is not None]
+        l0 = len(pre)
+        l = sum(r.adequately_sampled for r in pre)
+        f = sum(r.p_value <= alpha for r in pre)
+        in_family = [r for r in pre
+                     if include_undersampled or r.adequately_sampled]
+        out_family = [r for r in pre
+                      if not (include_undersampled or r.adequately_sampled)]
+        finalized: list[TestResult] = []
+        if in_family:
+            if per_family:
+                by_family: dict[str, list[TestResult]] = {}
+                for r in in_family:
+                    by_family.setdefault(r.family, []).append(r)
+                for group in by_family.values():
+                    finalized.extend(_holm_finalize(group, alpha))
+            else:
+                finalized.extend(_holm_finalize(in_family, alpha))
+        finalized.extend(out_family)
+        finalized.sort(key=lambda r: r.language)
+        f_holm = sum(r.significant for r in finalized)
+        report.summaries.append(LevelSummary(
+            level=level, direction=direction, l0=l0, l=l, f=f,
+            f_holm=f_holm))
+        report.results.extend(finalized)
     return report
 
 

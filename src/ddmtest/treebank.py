@@ -32,11 +32,11 @@ _MAX_BLOCK_TOKENS = 1 << 14  # a block with more token lines is a parse error
 # loose tag patterns seen across annotation schemes (PTB ".", Prague "Z:...",
 # UD "PUNCT", assorted "Punc"/"PU" variants, or the character itself as tag)
 _GENERIC_PUNCT_RE = re.compile(r"PUNCT|PUNC|Punc|punc|PU|Z\S*|[^\w\s]+")
-# the column reader's view of UTF-8 bytes: the comment and empty lines that
-# open a block, the id of a range line or an empty node, a block's regular
-# ids (a block longer than this is read by line) and each head's token
-# index (-1 for the root)
-_OPENING_RE = re.compile(rb"(?:#[^\n]*(?:\n|\Z)|\n)*")
+# the column reader's view of UTF-8 bytes: the comment lines and the lines
+# blank by _BLANK_BYTES_RE's rule that open a block, the id of a range line
+# or an empty node, a block's regular ids (a block longer than this is read
+# by line) and each head's token index (-1 for the root)
+_OPENING_RE = re.compile(rb"(?:#[^\n]*(?:\n|\Z)|[\t-\r\x1c-\x1f ]*\n)*")
 _OTHER_ID_RE = re.compile(
     f"{_RANGE_RE.pattern}|{_DECIMAL_RE.pattern}".encode())
 _IDS = [b"%d" % i for i in range(1, 1025)]

@@ -180,7 +180,8 @@ def enumerate_arrangements(tree: LinearizedTree,
     # in placement order. x may come next only if every group after the
     # first one that holds x is exactly {x}: then the edges that close at x
     # nest. Those groups close, x leaves the first one, and x's own unplaced
-    # neighbours open a group at the end.
+    # neighbours open a group at the end. A state from which no vertex may
+    # come next never finishes, so it is not stored.
     # A histogram is one integer whose d-th digit, base 2^width, counts
     # D = d. No count exceeds n!, so digits never carry: adding integers
     # adds histograms, and a shift by width * c adds c to every D.
@@ -190,34 +191,65 @@ def enumerate_arrangements(tree: LinearizedTree,
         neighbours[u - 1] |= 1 << v - 1
         neighbours[v - 1] |= 1 << u - 1
     width = math.factorial(n).bit_length()
+    full = (1 << n) - 1
     states = {(0, ()): 1}               # (placed, open groups) -> histogram
+    free = {(0, ()): full}              # crossing-free: -> who may go next
     for _ in range(n):
-        after = {}
+        after, after_free = {}, {}
         for (placed, groups), hist in states.items():
             # add the edges that cross the gap after the placed vertices
             hist <<= width * sum((neighbours[v] & ~placed).bit_count()
                                  for v in range(n) if placed >> v & 1)
-            for x, near in enumerate(neighbours):
-                bit = 1 << x
-                if placed & bit:
-                    continue
-                kept = ()
-                if restrict_noncrossing:
-                    i = next((i for i, g in enumerate(groups) if g & bit),
-                             len(groups))
-                    if any(g != bit for g in groups[i + 1:]):
-                        continue
-                    left = [g & ~bit for g in groups[i:i + 1]]
-                    kept = groups[:i] + tuple(
-                        g for g in left + [near & ~placed] if g)
+            if not restrict_noncrossing:
+                for x in range(n):
+                    if not placed >> x & 1:
+                        key = placed | 1 << x, ()
+                        after[key] = after.get(key, 0) + hist
+                continue
+            rest = free[placed, groups]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i = next((i for i, g in enumerate(groups) if g & bit),
+                         len(groups))
+                left = [g & ~bit for g in groups[i:i + 1]]
+                near = neighbours[bit.bit_length() - 1] & ~placed
+                kept = groups[:i] + tuple(g for g in left + [near] if g)
                 key = placed | bit, kept
-                after[key] = after.get(key, 0) + hist
-        states = after
+                if key in after:
+                    after[key] += hist
+                    continue
+                allowed = _next_vertices(full & ~key[0], kept)
+                if allowed or key[0] == full:
+                    after[key] = hist
+                    after_free[key] = allowed
+        states, free = after, after_free
     (hist,) = states.values()
     digit = (1 << width) - 1
     counts = {d: c for d in range((n - 1) ** 2 + 1)
               if (c := hist >> width * d & digit)}
     return DistanceDistribution(counts=counts, total=sum(counts.values()))
+
+
+def _next_vertices(unplaced: int, groups: tuple[int, ...]) -> int:
+    """The vertices of ``unplaced`` that may come next crossing-free, as a
+    bitmask: each one in no open group, and each one of the last group
+    whose groups after the first that holds it are each exactly itself
+    (any other vertex has the last group after its first). A last group of
+    two or more vertices passes only those in no earlier group."""
+    if not groups:
+        return unplaced
+    *earlier, last = groups
+    opened = 0
+    for g in earlier:
+        opened |= g
+    allowed = unplaced & ~(opened | last)
+    if last & (last - 1):
+        return allowed | last & ~opened
+    i = next(i for i, g in enumerate(groups) if g & last)
+    if all(g == last for g in groups[i + 1:]):
+        allowed |= last
+    return allowed
 
 
 def min_d_formula(shape: TreeShape, n: int) -> int:

@@ -1,11 +1,28 @@
-"""Shared builders for small trees used across the suite."""
+"""Shared builders for small trees used across the suite, and a guard
+against child processes a test leaves behind."""
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 
+import pytest
+
 from ddmtest import LinearizedTree
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process of this one, running or not
+    yet reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:       # no child at all
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid
+                else "the test left a child process running")
 
 
 def path_tree(n: int) -> LinearizedTree:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ddmtest
-from ddmtest import cli
+from ddmtest import _pool, cli
 from ddmtest.cli import infer_language, main
 from ddmtest.treebank import ParseError
 
@@ -342,7 +342,7 @@ class TestWorkers:
 
     @staticmethod
     def run(monkeypatch, capsysbinary, argv, cpus, stdin=b""):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin)))
         code = main(argv)
         captured = capsysbinary.readouterr()
@@ -415,8 +415,8 @@ class TestWorkers:
         before = files[:files.index(victim)]
         script = f"""if True:
             import os, signal, sys
-            from ddmtest import cli
-            cli._usable_cpus = lambda: 3
+            from ddmtest import _pool, cli
+            _pool._usable_cpus = lambda: 3
             parent, fold = os.getpid(), cli._fold_file
             def dying(path, *how):
                 if os.getpid() != parent and path.name == {victim.name!r}:
@@ -455,7 +455,7 @@ class TestWorkers:
             return fold(path, *how)
 
         monkeypatch.setattr(cli, "_fold_file", fold_or_stop)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 3)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             main(["analyze", "--input", str(data)])
@@ -574,11 +574,11 @@ def test_cli_import_leaves_heavy_modules_out(tmp_path):
             "import ddmtest.cli as c; c.build_parser(); print(added()); "
             "forks, fork = [], os.fork; "
             "os.fork = lambda: forks.append(1) or fork(); "
-            "c._usable_cpus = lambda: 1; "
+            "from ddmtest import _pool; _pool._usable_cpus = lambda: 1; "
             f"c.main(['analyze', '--input', {str(data)!r}, "
             "'--out', os.devnull]); "
             "print(len(forks), added('pickle')); "
-            "c._usable_cpus = lambda: 3; "
+            "_pool._usable_cpus = lambda: 3; "
             f"c.main(['analyze', '--input', {str(data)!r}, "
             "'--out', os.devnull]); "
             "print(len(forks), added())")

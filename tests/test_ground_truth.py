@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ddmtest import cli
+from ddmtest import _pool, cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import check  # noqa: E402
@@ -51,7 +51,7 @@ def test_every_block_lands_where_the_truth_says(collection, eol, report,
                                                 cpus, monkeypatch,
                                                 capsysbinary):
     coll, flags = collection
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
     code = cli.main(["analyze", *flags[eol], "--report", report])
     verdict = check.judge(capsysbinary.readouterr().out, report, coll, code)
     assert verdict.failed_blocks == 0

@@ -1,9 +1,16 @@
 import itertools
 import json
 import math
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +32,10 @@ from ddmtest import (
     sum_of_distances,
     tally_level,
 )
-from ddmtest import stats
+import ddmtest
+from ddmtest import _pool, pipeline, stats
 from ddmtest.pipeline import LanguageTally, _csv_quote, _neglog10, \
-    fold_trees, success_probability
+    analyze_tallies, fold_trees, success_probability
 
 N3_HIGH = LinearizedTree(3, [(1, 2), (1, 3)])     # D = 3
 N3_LOW = path_tree(3)                             # D = 2
@@ -457,6 +465,227 @@ class TestAnalyzeCollection:
                                     metadata={"seed": 7})
         assert report.exclusions == {"cycle": 2}
         assert report.metadata == {"seed": 7}
+
+
+@st.composite
+def tallies(draw):
+    """Count tables of up to six languages, some with m = 0 at every level
+    or no n = 4 tree (so no star fraction), and some with large cells."""
+    out = {}
+    for name in draw(st.lists(st.sampled_from("ABCDEFGH"), unique=True,
+                              max_size=6)):
+        tally = LanguageTally()
+        cells = st.integers(0, 8) | st.integers(0, 400)
+        tally.cells = draw(st.lists(cells, min_size=9, max_size=9))
+        if draw(st.booleans()):
+            tally.cells[3:] = [0] * 6       # no n = 4 tree
+        if draw(st.booleans()):
+            tally.cells[:3] = [0] * 3
+        tally.trees = sum(tally.cells) + draw(st.integers(0, 3))
+        out[name] = tally
+    return out
+
+
+def spy_forks(mp):
+    """The pids of the children forked while ``mp`` is in place."""
+    pids = []
+    real = os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestPooledTests:
+    """The test stage on the fork pool: one item per language, dealt by
+    its m over the requested levels, from ``FORK_MIN_M`` on."""
+
+    @given(tallies(), st.dictionaries(st.sampled_from("ABCDEFGH"),
+                                      st.sampled_from(["F1", "F2"])),
+           st.lists(st.sampled_from(LevelSpec), unique=True, max_size=6),
+           st.lists(st.sampled_from(Direction), unique=True, max_size=2),
+           st.booleans(), st.booleans(), st.booleans(), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_pooled_report_equals_one_worker(self, tallies, families, levels,
+                                             directions, per_family,
+                                             include_undersampled,
+                                             noncrossing, cpus):
+        def analyze(cpus):
+            """The report, and the pids forked, with ``cpus`` usable CPUs
+            and no threshold."""
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "FORK_MIN_M", 0)
+                mp.setattr(_pool, "_usable_cpus", lambda: cpus)
+                forks = spy_forks(mp)
+                return analyze_tallies(
+                    tallies, families=families, levels=levels,
+                    directions=directions, per_family=per_family,
+                    include_undersampled=include_undersampled,
+                    noncrossing=noncrossing, collection="c"), forks
+
+        (alone, none), (pooled, forks) = analyze(1), analyze(cpus)
+        assert none == []
+        assert pooled == alone
+        if any(t.trees for t in tallies.values()):
+            assert len(forks) == min(cpus, len(tallies)) - 1
+        assert_reaped(forks)
+        assert emit_report(pooled, "json") == emit_report(alone, "json")
+
+    @given(st.lists(st.integers(0, 3) | st.integers(0, 10**6), min_size=1,
+                    max_size=30), st.integers(1, 8))
+    def test_deal_fills_every_share(self, weights, workers):
+        """Each item in one share, in index order, and no share empty while
+        another holds two items, even where the weights are 0."""
+        workers = min(workers, len(weights))
+        shares = _pool.deal(weights, workers)
+        assert len(shares) == workers and all(shares)
+        assert sorted(sum(shares, [])) == list(range(len(weights)))
+        assert all(share == sorted(share) for share in shares)
+
+    def test_below_the_threshold_nothing_forks(self):
+        """Just below ``FORK_MIN_M`` the stage forks nothing and imports no
+        pickle; at it, it forks one child for each worker but this one."""
+        code = """if True:
+            import os, sys
+            from ddmtest import _pool, pipeline
+            _pool._usable_cpus = lambda: 3
+            forks, fork = [], os.fork
+            os.fork = lambda: forks.append(1) or fork()
+            before = set(sys.modules)
+
+            def tallies(total):
+                out = {}
+                for i, name in enumerate("ABC"):
+                    tally = out[name] = pipeline.LanguageTally()
+                    # an n = 3 tree counts at one level, a star at four
+                    m = total // 3 + (i < total % 3)
+                    tally.cells[0:3] = [m % 4, 0, 0]
+                    tally.cells[3:6] = [m // 4, 0, 0]
+                    tally.trees = m % 4 + m // 4
+                return out
+
+            threshold = pipeline.FORK_MIN_M
+            pipeline.analyze_tallies(tallies(threshold - 1))
+            print(len(forks), "pickle" in set(sys.modules) - before)
+            pipeline.analyze_tallies(tallies(threshold))
+            print(len(forks), "pickle" in set(sys.modules) - before)
+            """
+        result = subprocess.run([sys.executable, "-c", code], check=True,
+                                capture_output=True, text=True,
+                                env=self.env(), timeout=120)
+        assert result.stdout == "0 False\n2 True\n"
+
+    def test_another_thread_forks_nothing(self, monkeypatch):
+        collection = random_collection(5, n_languages=4)
+        alone = analyze_collection(collection)
+        monkeypatch.setattr(pipeline, "FORK_MIN_M", 0)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 3)
+        forks = spy_forks(monkeypatch)
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait, args=(60,))
+        waiter.start()
+        try:
+            assert analyze_collection(collection) == alone
+        finally:
+            stop.set()
+            waiter.join(10)
+        assert not waiter.is_alive()
+        assert forks == []
+        assert analyze_collection(collection) == alone
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("death, how", [
+        ("os.kill(os.getpid(), signal.SIGKILL)",
+         f"killed by signal {int(signal.SIGKILL)}"),
+        ("os._exit(3)", "exit status 3")])
+    def test_worker_that_dies_is_an_error(self, tmp_path, death, how):
+        """A test worker that dies before sending its results raises an
+        error that names it, from ``analyze_tallies`` and as ``ddmtest
+        analyze``'s error line, and leaves no child."""
+        for name, copies in (("Big", 40), ("Mid", 20), ("Low", 10)):
+            (tmp_path / f"{name}.conllu").write_text(
+                "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"
+                "2\tb\tb\tNOUN\t_\t_\t1\tdep\t_\t_\n"
+                "3\tc\tc\tNOUN\t_\t_\t1\tdep\t_\t_\n\n" * copies,
+                encoding="utf-8")
+        # three workers, one language each, heaviest first: Low is tested
+        # by the last child
+        script = f"""if True:
+            import os, signal, sys
+            from ddmtest import _pool, cli, pipeline
+            _pool._usable_cpus = lambda: 3
+            pipeline.FORK_MIN_M = 0
+            parent, test = os.getpid(), pipeline.run_tests
+
+            def dying(counts, *how, **more):
+                if os.getpid() != parent and counts.language == "Low":
+                    {death}
+                return test(counts, *how, **more)
+
+            pipeline.run_tests = dying
+            tallies = {{}}
+            for name, m in (("Big", 40), ("Mid", 20), ("Low", 10)):
+                tally = tallies[name] = pipeline.LanguageTally()
+                tally.cells[0], tally.trees = m, m
+            try:
+                pipeline.analyze_tallies(tallies)
+            except ChildProcessError as exc:
+                print(exc)
+            code = cli.main(["analyze", "--input", {str(tmp_path)!r}])
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no child left")
+            sys.exit(code)
+            """
+        result = subprocess.run([sys.executable, "-c", script],
+                                env=self.env(), capture_output=True,
+                                timeout=120)
+        message = (f"the worker testing Low died before sending its results "
+                   f"({how})")
+        assert result.returncode == 1
+        assert result.stdout == f"{message}\nno child left\n".encode()
+        assert result.stderr == f"ddmtest: error: {message}\n".encode()
+
+    def test_interrupt_leaves_no_child(self, monkeypatch):
+        """An interrupt in this process kills and reaps the test workers at
+        once."""
+        collection = random_collection(6, n_languages=3)
+        parent, test = os.getpid(), pipeline.run_tests
+
+        def test_or_stop(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)      # a child is killed long before
+            return test(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_tests", test_or_stop)
+        monkeypatch.setattr(pipeline, "FORK_MIN_M", 0)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 3)
+        forks = spy_forks(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            analyze_collection(collection)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    @staticmethod
+    def env():
+        return dict(os.environ, PYTHONPATH=str(
+            Path(ddmtest.__file__).resolve().parents[1]))
 
 
 class TestEmitReport:

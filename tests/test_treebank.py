@@ -691,21 +691,32 @@ class TestCleanTreebank:
             token_line(1, 0), "", token_line(1, 0), token_line(2, 1)])
         # a run of blank lines ends a block, and an input may end in one
         one, two = [token_line(1, 0)], [token_line(1, 2), token_line(2, 0)]
+        three = [token_line(1, 0), token_line(2, 1), token_line(3, 1)]
         texts = {text: 4}
         for end in ("\n", "\r\n"):
             for blank_run in (["", "", ""], ["", ""], ["", " "]):
                 texts[end.join(one + blank_run + two) + end] = 2
             texts[end.join(one + [""] + two + [""]) + end] = 2
+            # and so may a blank line open the input
+            for opening in (" ", "\t", "\x0b\x0c\x1c\x1f"):
+                texts[end.join([opening] + three + [""] + three) + end] = 2
         cfg = PreprocessConfig(scheme=scheme)
-        for text, sentences in texts.items():
-            for kind in INPUT_KINDS:
-                stream, content = as_input(text.encode(), kind)
-                by_line.clear()     # the reference reads by line
-                fates, errors = block_clean(stream, cfg=cfg)
-                if kind in ("binary stream", "bytes"):
-                    assert by_line == [], (text, kind)
-                assert (fates, errors) == reference_clean(content, cfg=cfg)
-                assert errors == [] and len(fates) == sentences
+        # 22 bytes, a token line and its end: token_line(1, 0) + "\n\n \n"
+        # + token_line(1, 0) + "\n" gives a chunk that opens with " \n"
+        texts["\n".join(one + ["", " "] + one) + "\n"] = 2
+        for chunk_bytes in (treebank._CHUNK_BYTES, 22):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(treebank, "_CHUNK_BYTES", chunk_bytes)
+                for text, sentences in texts.items():
+                    for kind in INPUT_KINDS:
+                        stream, content = as_input(text.encode(), kind)
+                        by_line.clear()     # the reference reads by line
+                        fates, errors = block_clean(stream, cfg=cfg)
+                        if kind in ("binary stream", "bytes"):
+                            assert by_line == [], (text, kind, chunk_bytes)
+                        assert (fates, errors) == reference_clean(content,
+                                                                  cfg=cfg)
+                        assert errors == [] and len(fates) == sentences
 
     @pytest.mark.parametrize("lines", [
         [token_line(1, 0), "1\tonly\tthree"],
