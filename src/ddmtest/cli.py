@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--direction", choices=["both", "above", "below"],
                     default="both")
     an.add_argument("--noncrossing-diagnostic", action="store_true",
-                    help="diagnostic mode: success probabilities conditioned "
-                         "on crossing-free arrangements (more conservative)")
+                    help="diagnostic mode: each shape against its crossing-"
+                         "free arrangements (paths at D = 5 count as above)")
     an.add_argument("--per-family", action="store_true",
                     help="apply the Holm correction within each family "
                          "instead of globally")

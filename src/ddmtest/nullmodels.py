@@ -3,26 +3,34 @@
 The core null model keeps each sentence's tree fixed and draws a uniformly
 random permutation of its word positions; the second one additionally draws
 the tree from an ensemble (observed trees, uniform labelled trees, or uniform
-unlabelled trees). For n = 3 and n = 4 every probability is an exact small
-rational, kept as ``Fraction`` throughout. The seeded Monte Carlo samplers
-of the core model are the only functions of the package that need numpy
-(the ``sim`` extra).
+unlabelled trees). Every probability is an exact ``Fraction`` read from one
+table, built on first use: the distribution of D over the arrangements of
+each counted tree. The seeded Monte Carlo samplers of the core model are
+the only functions of the package that need numpy (the ``sim`` extra).
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
-from .trees import DistanceDistribution, LinearizedTree, TreeShape, _numpy
+from .trees import DistanceDistribution, LinearizedTree, TreeShape, \
+    _numpy, enumerate_arrangements
 
 # numpy is imported only by the samplers, for the reason given in trees.py
 if TYPE_CHECKING:
     import numpy as np
 
 _SAMPLE_CHUNK = 250_000     # arrangements drawn at once by sample_distance_sums
+# the counted trees by shape, in the order of pipeline.LanguageTally's rows
+COUNTED_TREES = {
+    TreeShape.BOTH: LinearizedTree(3, ((1, 2), (2, 3))),
+    TreeShape.STAR: LinearizedTree(4, ((1, 2), (1, 3), (1, 4))),
+    TreeShape.LINEAR: LinearizedTree(4, ((1, 2), (2, 3), (3, 4))),
+}
 
 
 class Direction(Enum):
@@ -80,6 +88,11 @@ class EnsembleSpec(FrozenRecord):
             return self.p_star
         return _STAR_FRACTION[self.kind]
 
+    @property
+    def weights(self) -> tuple[Fraction | int, ...]:
+        """The n = 4 tree's weights over the shapes of ``COUNTED_TREES``."""
+        return 0, self.star_fraction, 1 - self.star_fraction
+
 
 def expected_d_random_arrangement(n: int) -> Fraction:
     """Mean of D under a uniformly random arrangement: (n^2 - 1) / 3."""
@@ -93,42 +106,48 @@ def expected_d_from_distribution(dist: DistanceDistribution) -> Fraction:
     return dist.mean()
 
 
-def shape_tail_probability(shape: TreeShape, n: int, direction: Direction) -> Fraction:
-    """P(D beyond its random-arrangement mean) for one tree shape.
+@functools.cache
+def null_distribution(shape: TreeShape,
+                      noncrossing: bool = False) -> DistanceDistribution:
+    """The exact D distribution of ``shape``'s counted tree, over crossing-
+    free arrangements only with ``noncrossing``: one shared, read-only copy."""
+    return enumerate_arrangements(COUNTED_TREES[shape], noncrossing)
 
-    Supported cases are the sentence lengths under study: the single n = 3
-    shape, and star or linear trees with n = 4.
-    """
-    if n == 3 and shape is TreeShape.BOTH:
-        return Fraction(2, 3) if direction is Direction.ABOVE else Fraction(1, 3)
-    if n == 4 and shape is TreeShape.STAR:
-        return Fraction(1, 2)
-    if n == 4 and shape is TreeShape.LINEAR:
-        return Fraction(1, 4)
-    raise ValueError(f"unsupported combination: shape={shape.value!r}, n={n}")
+
+@functools.cache
+def _tail(shape: TreeShape, direction: Direction,
+          noncrossing: bool) -> Fraction:
+    dist = null_distribution(shape, noncrossing)
+    side = dist.mass_above if direction is Direction.ABOVE else dist.mass_below
+    return side(dist.mean())
+
+
+def null_probability(weights: tuple[Fraction | int, ...], direction: Direction,
+                     noncrossing: bool = False) -> Fraction:
+    """P(D beyond the mean of its shape) for a tree drawn from
+    ``COUNTED_TREES`` with these weights, in a random arrangement."""
+    return sum(w * _tail(shape, direction, noncrossing)
+               for w, shape in zip(weights, COUNTED_TREES) if w)
+
+
+def shape_tail_probability(shape: TreeShape, n: int, direction: Direction) -> Fraction:
+    """P(D beyond its random-arrangement mean) for one of the counted trees:
+    the n = 3 path (``TreeShape.BOTH``), or the n = 4 star or path."""
+    if shape not in COUNTED_TREES or COUNTED_TREES[shape].n != n:
+        raise ValueError(
+            f"unsupported combination: shape={shape.value!r}, n={n}")
+    return _tail(shape, direction, False)
 
 
 def mixture_probability(ensemble: EnsembleSpec, direction: Direction) -> Fraction:
-    """P(D beyond its mean) for an n = 4 tree drawn from the ensemble.
-
-    Mixing the star (1/2) and linear (1/4) tail probabilities with star
-    fraction p_s gives (p_s + 1) / 4, identical for both tails by symmetry.
-    """
-    del direction  # symmetric
-    return (ensemble.star_fraction + 1) / 4
+    """P(D beyond its mean) for an n = 4 tree drawn from the ensemble."""
+    return null_probability(ensemble.weights, direction)
 
 
 def noncrossing_mixture_probability(ensemble: EnsembleSpec,
                                     direction: Direction) -> Fraction:
-    """Same mixture when crossing arrangements are banned (diagnostic only).
-
-    The ban leaves star trees untouched but lifts the linear-tree tails to
-    5/8 (above) and 3/8 (below), giving (5 - p_s)/8 and (p_s + 3)/8.
-    """
-    p_s = ensemble.star_fraction
-    if direction is Direction.ABOVE:
-        return (5 - p_s) / 8
-    return (p_s + 3) / 8
+    """Same mixture over crossing-free arrangements (diagnostic only)."""
+    return null_probability(ensemble.weights, direction, True)
 
 
 def sample_random_arrangement(tree: LinearizedTree,

@@ -9,6 +9,7 @@ meaningful far below float underflow.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
@@ -18,10 +19,9 @@ from pathlib import Path
 
 from . import _pool, stats
 from ._record import FrozenRecord, Record
-from .nullmodels import Direction, EnsembleSpec, \
-    expected_d_random_arrangement, mixture_probability, \
-    noncrossing_mixture_probability, shape_tail_probability
-from .trees import LinearizedTree, TreeShape
+from .nullmodels import COUNTED_TREES, Direction, EnsembleSpec, \
+    null_distribution, null_probability
+from .trees import LinearizedTree
 
 _LN10 = math.log(10.0)
 UNKNOWN_FAMILY = "Unknown"
@@ -39,10 +39,6 @@ class LevelSpec(Enum):
     N4_LABELLED = "n4_labelled"
     N4_STAR = "n4_star"
     N4_LINEAR = "n4_linear"
-
-    @property
-    def sentence_length(self) -> int:
-        return 3 if self is LevelSpec.N3_ALL else 4
 
 
 class LevelCounts(FrozenRecord):
@@ -125,18 +121,17 @@ class Report(Record):
         return not self.summaries and not self.results
 
 
-# (numerator, denominator) of the random-arrangement mean of D, per counted n
-_MEAN_D = {n: expected_d_random_arrangement(n).as_integer_ratio()
-           for n in (3, 4)}
-# the rows of LanguageTally.cells each level adds up
-_LEVEL_ROWS = {
-    LevelSpec.N3_ALL: (0,),
-    LevelSpec.N4_ALL_REAL: (1, 2),
-    LevelSpec.N4_UNLABELLED: (1, 2),
-    LevelSpec.N4_LABELLED: (1, 2),
-    LevelSpec.N4_STAR: (1,),
-    LevelSpec.N4_LINEAR: (2,),
+# each level's null weights on the rows of LanguageTally.cells, whose trees
+# it counts; None for n4_all_real, weighed by the language's star fraction
+_LEVEL_WEIGHTS = {
+    LevelSpec.N3_ALL: (1, 0, 0),
+    LevelSpec.N4_ALL_REAL: None,
+    LevelSpec.N4_UNLABELLED: EnsembleSpec.uniform_unlabelled().weights,
+    LevelSpec.N4_LABELLED: EnsembleSpec.uniform_labelled().weights,
+    LevelSpec.N4_STAR: (0, 1, 0),
+    LevelSpec.N4_LINEAR: (0, 0, 1),
 }
+_ROW = 8        # cells a row: D runs up to 7, the longest n = 4 path
 
 
 def _cell(n: int, edges) -> int:
@@ -150,24 +145,35 @@ def _cell(n: int, edges) -> int:
     d = 0
     for u, v in edges:
         d += abs(u - v)
-    num, den = _MEAN_D[n]
-    diff = d * den - num
-    return 3 * row + (0 if diff > 0 else 1 if diff < 0 else 2)
+    return _ROW * row + d
+
+
+@functools.cache
+def _split(level: LevelSpec, noncrossing: bool) -> tuple[tuple[int, ...], ...]:
+    """The indices in ``LanguageTally.cells`` of the trees ``level`` counts
+    above, below and on the mean of their shape's ``null_distribution``."""
+    above, below, ties = [], [], []
+    weights = _LEVEL_WEIGHTS[level] or (0, 1, 1)  # n4_all_real's n = 4 rows
+    for row, (weight, shape) in enumerate(zip(weights, COUNTED_TREES)):
+        if weight:
+            mean = null_distribution(shape, noncrossing).mean()
+            for d in range(_ROW):
+                side = above if d > mean else below if d < mean else ties
+                side.append(_ROW * row + d)
+    return tuple(above), tuple(below), tuple(ties)
 
 
 class LanguageTally:
     """One language's trees, reduced to what the six levels need.
 
-    ``cells`` is a flat list of nine counts, row by row: the n = 3 trees, the
-    n = 4 stars and the n = 4 paths, each split into the trees whose D lies
-    above, below and on its random-arrangement mean (columns 0, 1 and 2).
-    ``trees`` counts every tree, of any length; in a CSV run of
-    ``ddmtest analyze``, which leaves long blocks unchecked, it means only
-    "at least one" (see ``cli._fold_stream``).
+    ``cells`` counts the n = 3 trees, the n = 4 stars and the n = 4 paths
+    by D, in rows of ``_ROW``. ``trees`` counts every tree, of any length;
+    in a CSV run of ``ddmtest analyze``, which leaves long blocks unchecked,
+    it means only "at least one" (see ``cli._fold_stream``).
     """
 
     def __init__(self):
-        self.cells = [0] * 9
+        self.cells = [0] * (3 * _ROW)
         self.trees = 0
 
     def add(self, n: int, edges) -> None:
@@ -183,18 +189,13 @@ class LanguageTally:
 
     def level_counts(self, level: LevelSpec, language: str = "",
                      noncrossing: bool = False) -> LevelCounts:
-        """The tally of one level, as ``tally_level`` gives it; with
-        ``noncrossing`` a path at D = 5 is above its crossing-free mean 19/4."""
-        cells = self.cells
-        rows = _LEVEL_ROWS[level]
-        above, below, ties = (sum(cells[3 * row + col] for row in rows)
-                              for col in range(3))
-        if noncrossing and 2 in rows:   # cell 8: the paths' ties
-            above, ties = above + cells[8], ties - cells[8]
+        """The tally of one level in one mode, as ``tally_level`` gives it."""
+        above, below, ties = (sum(map(self.cells.__getitem__, side))
+                              for side in _split(level, noncrossing))
         m = above + below + ties
         p_star = None
         if level is LevelSpec.N4_ALL_REAL and m > 0:
-            p_star = Fraction(sum(cells[3:6]), m)
+            p_star = Fraction(sum(self.cells[_ROW:2 * _ROW]), m)
         return LevelCounts(language=language, level=level, m=m, g_above=above,
                            g_below=below, ties=ties, p_star_real=p_star)
 
@@ -228,20 +229,6 @@ def tally_level(trees: Sequence[LinearizedTree], level: LevelSpec,
     return fold_trees(trees).level_counts(level, language, noncrossing)
 
 
-def _level_ensemble(counts: LevelCounts) -> EnsembleSpec | None:
-    if counts.level is LevelSpec.N4_STAR:
-        return EnsembleSpec.real(Fraction(1))
-    if counts.level is LevelSpec.N4_LINEAR:
-        return EnsembleSpec.real(Fraction(0))
-    if counts.level is LevelSpec.N4_UNLABELLED:
-        return EnsembleSpec.uniform_unlabelled()
-    if counts.level is LevelSpec.N4_LABELLED:
-        return EnsembleSpec.uniform_labelled()
-    if counts.p_star_real is None:
-        return None
-    return EnsembleSpec.real(counts.p_star_real)
-
-
 def success_probability(counts: LevelCounts, direction: Direction,
                         noncrossing: bool = False) -> Fraction | None:
     """Null success probability for one (level, direction) tally.
@@ -249,14 +236,12 @@ def success_probability(counts: LevelCounts, direction: Direction,
     None only for the real-ensemble level of a language with no n = 4 trees
     (the star fraction is undefined there).
     """
-    if counts.level is LevelSpec.N3_ALL:
-        return shape_tail_probability(TreeShape.BOTH, 3, direction)
-    ensemble = _level_ensemble(counts)
-    if ensemble is None:
-        return None
-    if noncrossing:
-        return noncrossing_mixture_probability(ensemble, direction)
-    return mixture_probability(ensemble, direction)
+    weights = _LEVEL_WEIGHTS[counts.level]
+    if weights is None:
+        if counts.p_star_real is None:
+            return None
+        weights = EnsembleSpec.real(counts.p_star_real).weights
+    return null_probability(weights, direction, noncrossing)
 
 
 def run_tests(counts: LevelCounts, direction: Direction, alpha: float = 0.05,
@@ -379,8 +364,7 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
                   for lang in languages}
         weights = [w + counts[lang].m for w, lang in zip(weights, languages)]
         for direction in directions:
-            # one p for the level, but one per language for the real
-            # ensemble, whose star fraction is the language's own
+            # n4_all_real: one p per language, from its own star fraction
             p = None if level is LevelSpec.N4_ALL_REAL else \
                 success_probability(counts[languages[0]], direction,
                                     noncrossing)

@@ -122,9 +122,6 @@ class DistanceDistribution(FrozenRecord):
     def support_min(self) -> int:
         return min(self.counts)
 
-    def support_max(self) -> int:
-        return max(self.counts)
-
 
 def classify(tree: LinearizedTree) -> TreeShape:
     """Classify by maximum degree: path vs star, coinciding for n <= 3."""

@@ -597,6 +597,25 @@ def test_runtime_dependency_list_is_empty():
         assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
+def test_import_builds_no_null_table():
+    """Importing the package and its command line enumerates no
+    arrangement and imports no numpy: the null table is built on first
+    use, one (shape, mode) at a time."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(ddmtest.__file__).resolve().parents[1]))
+    code = ("import sys, ddmtest, ddmtest.cli\n"
+            "from ddmtest import nullmodels as nm, pipeline\n"
+            "sizes = lambda: [f.cache_info().currsize for f in (\n"
+            "    nm.null_distribution, nm._tail, pipeline._split)]\n"
+            "print(sizes(), 'numpy' in sys.modules)\n"
+            "pipeline.LanguageTally().level_counts(\n"
+            "    pipeline.LevelSpec.N4_LINEAR, '', True)\n"
+            "print(sizes(), 'numpy' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True, env=env)
+    assert result.stdout == "[0, 0, 0] False\n[1, 0, 1] False\n"
+
+
 def test_analyze_runs_without_numpy(tmp_path):
     """numpy comes with the "sim" extra: with it blocked, ``python -m
     ddmtest.cli analyze`` writes the same report, enumeration still

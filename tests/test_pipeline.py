@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -25,7 +26,9 @@ from ddmtest import (
     LinearizedTree,
     TreeShape,
     analyze_collection,
+    binomial_upper_tail_exact,
     classify,
+    count_crossings,
     emit_report,
     load_families,
     run_tests,
@@ -304,6 +307,26 @@ def arranged(tree, d):
     raise ValueError(f"no arrangement with D = {d}")
 
 
+def placed(n, edges, count):
+    """A tally of ``count`` copies of one tree on positions 1..n, each
+    placed where ``LanguageTally.add`` places it. Self-contained, so that
+    the subprocess scripts below can run its source."""
+    from ddmtest.pipeline import LanguageTally
+
+    tally = LanguageTally()
+    tally.add(n, edges)
+    tally.cells = [count * c for c in tally.cells]
+    tally.trees = count
+    return tally
+
+
+PLACED = inspect.getsource(placed)
+# the D values each counted tree takes: the n = 3 path, then the n = 4
+# star and path
+COUNTED_D = [(path_tree(3), (2, 3)), (star_tree(4), (4, 6)),
+             (path_tree(4), (3, 4, 5, 6, 7))]
+
+
 class TestNullCalibration:
     @pytest.mark.parametrize("noncrossing", [False, True])
     @pytest.mark.parametrize("direction", list(Direction))
@@ -330,6 +353,75 @@ class TestNullCalibration:
                      else cell.g_below)
                 mass += weight * Fraction(count * g, total)
         assert mass == success_probability(counts, direction, noncrossing)
+
+    @pytest.mark.parametrize("noncrossing", [False, True])
+    @pytest.mark.parametrize("level", list(LevelSpec))
+    def test_simulated_size(self, level, noncrossing):
+        """Languages drawn from the level's null are rejected, in each
+        direction, at the test's exact size, within 3 standard errors; at
+        n4_all_real, which plugs in each language's star fraction, at no
+        more than alpha. Each sentence draws its shape by ``LEVEL_SHAPES``
+        and a uniformly random arrangement, redrawn while it has a crossing
+        under the diagnostic, and is tallied by ``LanguageTally.add``."""
+        alpha, languages, m = 0.05, 3000, 30
+        rng = np.random.default_rng(
+            [20261019, list(LevelSpec).index(level), noncrossing])
+        trees = (path_tree(3), star_tree(4), path_tree(4))
+        # each tree's 24 arrangements (the 6 of the n = 3 path 4 times),
+        # as edges, and whether each one has a crossing
+        arrangements = [
+            [tuple((perm[u - 1], perm[v - 1]) for u, v in tree.edges)
+             for perm in itertools.permutations(range(1, tree.n + 1))]
+            * (24 // math.factorial(tree.n)) for tree in trees]
+        crossing = np.array([[count_crossings(LinearizedTree(tree.n, edges))
+                              > 0 for edges in row]
+                             for tree, row in zip(trees, arrangements)])
+        shapes = rng.choice(3, (languages, m),
+                            p=[float(w) for w in LEVEL_SHAPES[level]])
+        picks = rng.integers(0, 24, (languages, m))
+        while noncrossing and (redraw := crossing[shapes, picks]).any():
+            picks[redraw] = rng.integers(0, 24, redraw.sum())
+        tallies = []
+        for row, picked in zip(shapes.tolist(), picks.tolist()):
+            tally = LanguageTally()
+            for k, j in zip(row, picked):
+                tally.add(trees[k].n, arrangements[k][j])
+            tallies.append(tally)
+        for direction in Direction:
+            results = {}        # by LevelCounts: many languages share one
+            rejected = 0
+            for tally in tallies:
+                counts = tally.level_counts(level, "", noncrossing)
+                if counts not in results:
+                    results[counts] = run_tests(counts, direction, alpha,
+                                                noncrossing)
+                rejected += results[counts].p_value <= alpha
+            rate = rejected / languages
+            if level is LevelSpec.N4_ALL_REAL:
+                size = alpha
+            else:
+                p = next(iter(results.values())).p
+                g = next(g for g in range(m + 2)
+                         if binomial_upper_tail_exact(g, m, p) <= alpha)
+                size = float(binomial_upper_tail_exact(g, m, p))
+            bound = 3 * math.sqrt(size * (1 - size) / languages)
+            assert rate <= size + bound, (direction, rate, size)
+            if level is not LevelSpec.N4_ALL_REAL:
+                assert rate >= size - bound, (direction, rate, size)
+
+    def test_diagnostic_can_reject_where_the_default_cannot(self):
+        """8 paths at D = 5 at n4_linear above: p-value 1 by default, but
+        g = 8, p = 5/8 and p-value (5/8)^8 < 0.05 under the diagnostic."""
+        for noncrossing, g, p in ((False, 0, Fraction(1, 4)),
+                                  (True, 8, Fraction(5, 8))):
+            report = analyze_collection(
+                {"xx": [LIN_TIE] * 8}, levels=[LevelSpec.N4_LINEAR],
+                directions=[Direction.ABOVE], noncrossing=noncrossing)
+            (result,) = report.results
+            assert (result.g, result.p) == (g, p)
+            assert result.p_value == pytest.approx(float(p ** g), rel=1e-12)
+            assert result.significant is noncrossing
+        assert float(Fraction(5, 8) ** 8) == pytest.approx(0.0233, abs=1e-4)
 
     def test_diagnostic_counts_a_path_at_five_above(self):
         normal = tally_level([LIN_TIE], LevelSpec.N4_LINEAR)
@@ -475,13 +567,15 @@ def tallies(draw):
     for name in draw(st.lists(st.sampled_from("ABCDEFGH"), unique=True,
                               max_size=6)):
         tally = LanguageTally()
-        cells = st.integers(0, 8) | st.integers(0, 400)
-        tally.cells = draw(st.lists(cells, min_size=9, max_size=9))
-        if draw(st.booleans()):
-            tally.cells[3:] = [0] * 6       # no n = 4 tree
-        if draw(st.booleans()):
-            tally.cells[:3] = [0] * 3
-        tally.trees = sum(tally.cells) + draw(st.integers(0, 3))
+        counts = st.integers(0, 8) | st.integers(0, 400)
+        # drop the n = 3 trees, the n = 4 trees, both or neither
+        dropped = {n for n in (3, 4) if draw(st.booleans())}
+        for tree, ds in COUNTED_D:
+            if tree.n not in dropped:
+                for d in ds:
+                    tally.merge(placed(tree.n, arranged(tree, d),
+                                       draw(counts)))
+        tally.trees += draw(st.integers(0, 3))
         out[name] = tally
     return out
 
@@ -556,7 +650,7 @@ class TestPooledTests:
     def test_below_the_threshold_nothing_forks(self):
         """Just below ``FORK_MIN_M`` the stage forks nothing and imports no
         pickle; at it, it forks one child for each worker but this one."""
-        code = """if True:
+        code = PLACED + """if True:
             import os, sys
             from ddmtest import _pool, pipeline
             _pool._usable_cpus = lambda: 3
@@ -567,12 +661,10 @@ class TestPooledTests:
             def tallies(total):
                 out = {}
                 for i, name in enumerate("ABC"):
-                    tally = out[name] = pipeline.LanguageTally()
                     # an n = 3 tree counts at one level, a star at four
                     m = total // 3 + (i < total % 3)
-                    tally.cells[0:3] = [m % 4, 0, 0]
-                    tally.cells[3:6] = [m // 4, 0, 0]
-                    tally.trees = m % 4 + m // 4
+                    tally = out[name] = placed(3, ((1, 2), (1, 3)), m % 4)
+                    tally.merge(placed(4, ((1, 2), (1, 3), (1, 4)), m // 4))
                 return out
 
             threshold = pipeline.FORK_MIN_M
@@ -622,7 +714,7 @@ class TestPooledTests:
                 encoding="utf-8")
         # three workers, one language each, heaviest first: Low is tested
         # by the last child
-        script = f"""if True:
+        script = PLACED + f"""if True:
             import os, signal, sys
             from ddmtest import _pool, cli, pipeline
             _pool._usable_cpus = lambda: 3
@@ -637,8 +729,7 @@ class TestPooledTests:
             pipeline.run_tests = dying
             tallies = {{}}
             for name, m in (("Big", 40), ("Mid", 20), ("Low", 10)):
-                tally = tallies[name] = pipeline.LanguageTally()
-                tally.cells[0], tally.trees = m, m
+                tallies[name] = placed(3, ((1, 2), (1, 3)), m)
             try:
                 pipeline.analyze_tallies(tallies)
             except ChildProcessError as exc:
