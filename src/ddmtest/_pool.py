@@ -1,12 +1,12 @@
 """A bare fork pool, shared by the fold of ``ddmtest analyze`` and the test
 stage of ``pipeline.analyze_tallies``.
 
-The work is dealt into one share per worker. This process runs the first
-share and a forked child each other one: the child inherits the imported
-package and the inputs instead of receiving them, and sends its result back
-as one pickle down its own pipe. ``multiprocessing`` and
-``concurrent.futures`` are never imported, and ``pickle`` only when a child
-is forked.
+``map`` calls a function on every item, one worker per share of the items
+by weight: this process runs one share and a forked child each other one.
+A child inherits the imported package and the inputs instead of receiving
+them, and sends its results back as one pickle down its own pipe.
+``multiprocessing`` and ``concurrent.futures`` are never imported, and
+``pickle`` only when a child is forked.
 """
 
 from __future__ import annotations
@@ -49,16 +49,21 @@ def deal(weights: Sequence[int], workers: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def run(func: Callable, shares: list[list[int]],
-        name: Callable[[list[int]], str]) -> list:
-    """``func(share)`` of every share, in share order, or the exception it
-    raised: the first share in this process, each other one in a forked
-    child that sends its result back as one pickle down its own pipe. A
-    child that ends without sending it gives a ``ChildProcessError`` that
-    says how it ended and names the worker as ``name(share)``. No child
-    outlives the call: on an error in this process the children are killed
-    and reaped.
+def map(func: Callable[[int], object], weights: Sequence[int], workers: int,
+        name: Callable[[int], str]) -> list:
+    """``func(i)``, or the exception that call raised, for every index i of
+    ``weights``, in index order.
+
+    The items are dealt by weight to ``workers`` workers (``deal``): this
+    process runs the first share and a forked child each other one, each
+    share in index order. An item that raises ends its share: each later
+    item of the share carries the same exception. A child that ends
+    without sending its results gives each item of its share a
+    ``ChildProcessError`` that says how it ended and names the worker as
+    ``name(i)`` of the share's first item. No child outlives the call: on
+    an error in this process the children are killed and reaped.
     """
+    shares = deal(weights, workers)
     if len(shares) > 1:
         import pickle   # here, as a run with no child does not need it
     pids, ends = [], []         # each child's pid and its pipe's read end
@@ -71,25 +76,29 @@ def run(func: Callable, shares: list[list[int]],
                 if pid == 0:    # the child: run, send, and never return
                     status = 1
                     try:
-                        pickle.dump(_call(func, share), pipe)
+                        pickle.dump(_run(func, share), pipe)
                         pipe.close()
                         status = 0
                     finally:
                         os._exit(status)
             pids.append(pid)
-        results = [_call(func, shares[0])]
+        done = [_run(func, shares[0])]
         for share, r in zip(shares[1:], ends):
             with open(r, "rb", closefd=False) as pipe:
                 data = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
             if status == 0:
-                results.append(pickle.loads(data))
+                done.append(pickle.loads(data))
                 continue
             how = (f"killed by signal {-status}" if status < 0
                    else f"exit status {status}")
-            results.append(ChildProcessError(
-                f"the worker {name(share)} died before sending its results "
-                f"({how})"))
+            done.append([ChildProcessError(
+                f"the worker {name(share[0])} died before sending its "
+                f"results ({how})")] * len(share))
+        results = [None] * len(weights)
+        for share, share_results in zip(shares, done):
+            for i, result in zip(share, share_results):
+                results[i] = result
         return results
     finally:
         for r in ends:
@@ -102,8 +111,13 @@ def run(func: Callable, shares: list[list[int]],
                 os.waitpid(pid, 0)
 
 
-def _call(func: Callable, share: list[int]):
-    try:
-        return func(share)
-    except Exception as exc:    # raised again by the caller, in share order
-        return exc
+def _run(func: Callable[[int], object], share: list[int]) -> list:
+    """``func(i)`` for each item of ``share``, up to the first that raises,
+    whose exception stands for it and each later item."""
+    results = []
+    for i in share:
+        try:
+            results.append(func(i))
+        except Exception as exc:    # raised again by the caller, in order
+            return results + [exc] * (len(share) - len(results))
+    return results

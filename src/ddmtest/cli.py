@@ -2,21 +2,19 @@
 
 Reads treebank files (or stdin) in one streaming pass that folds each
 cleaned sentence into its language's tally, then runs the six-level
-analysis and writes the report. The files are dealt by size into one
-share per worker of the fork pool (``_pool``), one worker per usable CPU
-up to one per file and at most eight: this process folds the first share
-and a forked child each other one. The results are merged in file order,
-so the report and stderr do not depend on the worker count. With one file
-or one usable CPU, in a process that runs other threads, or where the
-platform cannot fork, there is one share and no child. The test stage
-(``pipeline.analyze_tallies``) deals the languages out on the same pool
-once their tests are large enough to repay a fork. Stderr shows at most
-20 parse errors per input, then a count of the rest. A CSV report shows
-no exclusion counts, so its run does not check the tree of a block that
-keeps more than four words, once its input has given a tree: the report,
-stderr and exit code are the same. Exit codes: 0 success, 1
-argument/format error or a worker that died, 2 empty collection (nothing
-survived preprocessing).
+analysis and writes the report. The files are folded on the fork pool
+(``_pool.map``), one worker per usable CPU up to one per file and at most
+eight, and merged in file order, so the report and stderr do not depend on
+the worker count. With one file or one usable CPU, in a process that runs
+other threads, or where the platform cannot fork, nothing is forked. The
+test stage (``pipeline.analyze_tallies``) runs on the same pool once its
+tests are large enough to repay a fork. Stderr shows at most 20 parse
+errors per input, then a count of the rest. A CSV report shows no
+exclusion counts, so its run does not check the tree of a block that keeps
+more than four words, once its input has given a tree: the report, stderr
+and exit code are the same. Exit codes: 0 success, 1 argument/format error
+or a worker that died, 2 empty collection (nothing survived
+preprocessing).
 """
 
 from __future__ import annotations
@@ -163,55 +161,14 @@ def _fold_file(path: Path, fmt: str, cfg: PreprocessConfig,
         return _fold_stream(fh, fmt, cfg, str(path), skip_long)
 
 
-def _fold_share(paths: list[Path], share: list[int], fmt: str,
-                cfg: PreprocessConfig, skip_long: bool) -> dict:
-    """``_fold_file`` of each path in ``share`` by index, in order, up to
-    the first that fails, which gives its exception instead: no file after
-    it is merged."""
-    folded = {}
-    for i in share:
-        try:
-            folded[i] = _fold_file(paths[i], fmt, cfg, skip_long)
-        except Exception as exc:    # raised again where it is merged
-            folded[i] = exc
-            break
-    return folded
-
-
-def _fold_files(paths: list[Path], fmt: str, cfg: PreprocessConfig,
-                skip_long: bool):
-    """Yield each path with its ``_fold_file``, in the order of ``paths``.
-
-    The files are dealt by size to one share per worker of the fork pool
-    (``_pool.workers``, up to one per file), which folds the first share
-    here and each other one in a forked child. A child that dies gives
-    each file of its share its ``ChildProcessError``. The first file that
-    fails raises its error once the files before it are yielded.
-    """
-    sizes = []
-    for path in paths:
-        try:
-            sizes.append(path.stat().st_size)
-        except OSError:         # the fold reports it in order
-            sizes.append(0)
-    shares = _pool.deal(sizes, _pool.workers(len(paths)))
-    folded = {}
-    for share, result in zip(shares, _pool.run(
-            lambda share: _fold_share(paths, share, fmt, cfg, skip_long),
-            shares, lambda share: f"folding {paths[share[0]]}")):
-        folded.update(dict.fromkeys(share, result)
-                      if isinstance(result, Exception) else result)
-    for i, path in enumerate(paths):
-        if isinstance(folded[i], Exception):
-            raise folded[i]
-        yield path, folded[i]
-
-
 def _load_inputs(args, cfg: PreprocessConfig):
     """Fold every input into its language's tally, printing parse errors.
 
-    Files are merged in ``gather_files`` order and stdin after them, so the
+    The files are folded on the fork pool (``_pool.map``), weighed by
+    size, and merged in ``gather_files`` order, stdin after them, so the
     report and stderr do not depend on how many workers folded the files.
+    The first file that fails raises its error once the files before it
+    are merged.
     """
     skip_long = args.report == "csv"     # the one report without exclusions
     tallies: dict[str, pipeline.LanguageTally] = {}
@@ -225,8 +182,19 @@ def _load_inputs(args, cfg: PreprocessConfig):
             print(line, file=sys.stderr)
 
     paths = treebank.gather_files(p for p in args.input if p != "-")
-    for path, folded in _fold_files(paths, args.format, cfg, skip_long):
-        merge(args.language or infer_language(path), folded)
+    sizes = []
+    for path in paths:
+        try:
+            sizes.append(path.stat().st_size)
+        except OSError:         # the fold reports it in order
+            sizes.append(0)
+    folded = _pool.map(
+        lambda i: _fold_file(paths[i], args.format, cfg, skip_long), sizes,
+        _pool.workers(len(paths)), lambda i: f"folding {paths[i]}")
+    for path, result in zip(paths, folded):
+        if isinstance(result, Exception):
+            raise result
+        merge(args.language or infer_language(path), result)
     if "-" in args.input:
         merge(args.language or "stdin",
               _fold_stream(sys.stdin.buffer, args.format, cfg, "<stdin>",

@@ -333,11 +333,10 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
 
     The tests of one language are one item of work. Once the m of every
     language over the requested levels adds up to ``FORK_MIN_M``, the
-    languages are dealt by that sum to the workers of the fork pool
-    (``_pool``): this process tests the first share and a forked child
-    each other one, and the results are put back in language order, so
-    the report does not depend on the worker count. A worker that dies
-    raises its ``ChildProcessError``; no child outlives the call.
+    languages are tested on the fork pool (``_pool.map``), weighed by that
+    sum; the results come back in language order, so the report does not
+    depend on the worker count. A worker that dies raises its
+    ``ChildProcessError``; no child outlives the call.
     """
     levels = list(dict.fromkeys(levels or LevelSpec))
     directions = list(dict.fromkeys(directions or Direction))
@@ -370,26 +369,22 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
                                     noncrossing)
             plan.append((level, direction, counts, p))
 
-    def test_share(share: list[int]) -> list[list[TestResult | None]]:
-        """Each language's tests in ``plan`` order, None where m = 0."""
-        return [[run_tests(counts[lang], direction, alpha, noncrossing,
-                           family=families.get(lang, UNKNOWN_FAMILY),
-                           min_sizes=min_sizes, p=p)
-                 if counts[lang].m >= 1 else None
-                 for _, direction, counts, p in plan]
-                for lang in map(languages.__getitem__, share)]
+    def test_language(i: int) -> list[TestResult | None]:
+        """Language ``i``'s tests in ``plan`` order, None where m = 0."""
+        lang = languages[i]
+        return [run_tests(counts[lang], direction, alpha, noncrossing,
+                          family=families.get(lang, UNKNOWN_FAMILY),
+                          min_sizes=min_sizes, p=p)
+                if counts[lang].m >= 1 else None
+                for _, direction, counts, p in plan]
 
     workers = (_pool.workers(len(languages)) if sum(weights) >= FORK_MIN_M
                else 1)
-    shares = _pool.deal(weights, workers)
-    tested: list = [None] * len(languages)     # test_share's, by language
-    for share, result in zip(shares, _pool.run(
-            test_share, shares,
-            lambda share: f"testing {languages[share[0]]}")):
-        if isinstance(result, Exception):
-            raise result
-        for i, tests in zip(share, result):
-            tested[i] = tests
+    tested = _pool.map(test_language, weights, workers,
+                       lambda i: f"testing {languages[i]}")
+    for tests in tested:
+        if isinstance(tests, Exception):
+            raise tests
 
     for k, (level, direction, _, _) in enumerate(plan):
         pre = [tests[k] for tests in tested if tests[k] is not None]
@@ -400,16 +395,11 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
                      if include_undersampled or r.adequately_sampled]
         out_family = [r for r in pre
                       if not (include_undersampled or r.adequately_sampled)]
-        finalized: list[TestResult] = []
-        if in_family:
-            if per_family:
-                by_family: dict[str, list[TestResult]] = {}
-                for r in in_family:
-                    by_family.setdefault(r.family, []).append(r)
-                for group in by_family.values():
-                    finalized.extend(_holm_finalize(group, alpha))
-            else:
-                finalized.extend(_holm_finalize(in_family, alpha))
+        groups: dict[str | None, list[TestResult]] = {}
+        for r in in_family:
+            groups.setdefault(r.family if per_family else None, []).append(r)
+        finalized = [r for group in groups.values()
+                     for r in _holm_finalize(group, alpha)]
         finalized.extend(out_family)
         finalized.sort(key=lambda r: r.language)
         f_holm = sum(r.significant for r in finalized)
@@ -480,8 +470,9 @@ def _emit_markdown(report: Report) -> str:
     out.append(cols)
     out.append("|" + "---|" * 12)
     for r in report.results:
-        cells = _result_cells(report, r)[1:]
-        out.append("| " + " | ".join(c or "-" for c in cells) + " |")
+        cells = _result_cells(report, r)[1:]   # a name may hold a "|"
+        out.append("| " + " | ".join(c.replace("|", r"\|") or "-"
+                                     for c in cells) + " |")
     out.append("")
     out.append("## Level summaries")
     out.append("")

@@ -833,6 +833,25 @@ class TestEmitReport:
         assert "## Excluded sentences" in text
         assert "| cycle | 1 |" in text
 
+    def test_markdown_escapes_a_bar_in_a_name(self):
+        """A "|" in a language or family name is escaped in a markdown
+        cell, so each row keeps the header's 12 cells; CSV and JSON keep
+        the name as it is."""
+        report = analyze_collection({"x|y": [N3_HIGH] * 10, "z": [N3_LOW]},
+                                    families={"x|y": "F|G", "z": "H"},
+                                    levels=[LevelSpec.N3_ALL])
+        text = emit_report(report, "markdown").decode()
+        rows = text.split("\n\n")[2].splitlines()     # the per-language table
+        assert len(rows) == 2 + 2 * 2
+        for row in rows:
+            cells = row.replace(r"\|", "").split("|")
+            assert cells[0] == cells[-1] == "" and len(cells) == 12 + 2
+        assert rows[2].startswith(r"| n3_all | above | x\|y | F\|G | 10 |")
+        assert ",x|y,F|G,10," in emit_report(report, "csv").decode()
+        doc = json.loads(emit_report(report, "json"))
+        assert {(r["language"], r["family"]) for r in doc["results"]} == {
+            ("x|y", "F|G"), ("z", "H")}
+
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
     def test_emit_holds_one_copy_of_the_report(self, fmt):
         """Emitting holds the report's lines and at most one copy of the
