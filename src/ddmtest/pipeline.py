@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import _pool, stats
 from ._record import FrozenRecord, Record
-from .nullmodels import COUNTED_TREES, Direction, EnsembleSpec, \
+from .nullmodels import COUNTED_TREES, Direction, EnsembleSpec, _tail, \
     null_distribution, null_probability
-from .trees import LinearizedTree
+from .trees import LinearizedTree, TreeShape
 
 _LN10 = math.log(10.0)
 UNKNOWN_FAMILY = "Unknown"
@@ -237,11 +237,14 @@ def success_probability(counts: LevelCounts, direction: Direction,
     (the star fraction is undefined there).
     """
     weights = _LEVEL_WEIGHTS[counts.level]
-    if weights is None:
-        if counts.p_star_real is None:
-            return None
-        weights = EnsembleSpec.real(counts.p_star_real).weights
-    return null_probability(weights, direction, noncrossing)
+    if weights is not None:
+        return null_probability(weights, direction, noncrossing)
+    p_star = counts.p_star_real
+    if p_star is None:
+        return None
+    # null_probability over EnsembleSpec.real(p_star).weights, term by term
+    return (p_star * _tail(TreeShape.STAR, direction, noncrossing)
+            + (1 - p_star) * _tail(TreeShape.LINEAR, direction, noncrossing))
 
 
 def run_tests(counts: LevelCounts, direction: Direction, alpha: float = 0.05,
@@ -276,18 +279,6 @@ def run_tests(counts: LevelCounts, direction: Direction, alpha: float = 0.05,
 
 def _neglog10(log10_value: float) -> float:
     return round(-log10_value, 1) + 0.0
-
-
-def _holm_finalize(pre: list[TestResult], alpha: float) -> list[TestResult]:
-    adjusted, rejected = stats.holm_adjust_log10(
-        [r.log10_p_value for r in pre], alpha)
-    return [TestResult(language=r.language, family=r.family, level=r.level,
-                       direction=r.direction, m=r.m, g=r.g, p=r.p,
-                       p_value=r.p_value, log10_p_value=r.log10_p_value,
-                       adequately_sampled=r.adequately_sampled,
-                       p_holm=10.0 ** adj, significant=rej,
-                       neglog10_holm=_neglog10(adj))
-            for r, adj, rej in zip(pre, adjusted, rejected)]
 
 
 def analyze_collection(treebanks: Mapping[str, Sequence[LinearizedTree]],
@@ -356,27 +347,36 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
         return report
 
     min_sizes: dict = {}    # this call's min_sample_size answers
-    plan = []               # (level, direction, counts by language, p)
+    plan = []               # (level, direction, counts and p by language)
     weights = [0] * len(languages)      # each language's m, over the levels
     for level in levels:
         counts = {lang: tallies[lang].level_counts(level, lang, noncrossing)
                   for lang in languages}
         weights = [w + counts[lang].m for w, lang in zip(weights, languages)]
         for direction in directions:
-            # n4_all_real: one p per language, from its own star fraction
-            p = None if level is LevelSpec.N4_ALL_REAL else \
-                success_probability(counts[languages[0]], direction,
-                                    noncrossing)
-            plan.append((level, direction, counts, p))
+            if level is LevelSpec.N4_ALL_REAL:  # p from each star fraction
+                ps = {lang: success_probability(counts[lang], direction,
+                                                noncrossing)
+                      for lang in languages}
+            else:
+                ps = dict.fromkeys(languages, success_probability(
+                    counts[languages[0]], direction, noncrossing))
+            plan.append((level, direction, counts, ps))
 
-    def test_language(i: int) -> list[TestResult | None]:
-        """Language ``i``'s tests in ``plan`` order, None where m = 0."""
+    def test_language(i: int) -> list[tuple[float, float, bool] | None]:
+        """Language ``i``'s tests in ``plan`` order, None where m = 0, each
+        as its p-value, log10 p-value and whether it is adequately sampled:
+        plain numbers, cheap to send down a pipe."""
         lang = languages[i]
-        return [run_tests(counts[lang], direction, alpha, noncrossing,
-                          family=families.get(lang, UNKNOWN_FAMILY),
-                          min_sizes=min_sizes, p=p)
-                if counts[lang].m >= 1 else None
-                for _, direction, counts, p in plan]
+        out = []
+        for _, direction, counts, ps in plan:
+            if counts[lang].m:
+                r = run_tests(counts[lang], direction, alpha, noncrossing,
+                              min_sizes=min_sizes, p=ps[lang])
+                out.append((r.p_value, r.log10_p_value, r.adequately_sampled))
+            else:
+                out.append(None)
+        return out
 
     workers = (_pool.workers(len(languages)) if sum(weights) >= FORK_MIN_M
                else 1)
@@ -386,27 +386,39 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
         if isinstance(tests, Exception):
             raise tests
 
-    for k, (level, direction, _, _) in enumerate(plan):
-        pre = [tests[k] for tests in tested if tests[k] is not None]
-        l0 = len(pre)
-        l = sum(r.adequately_sampled for r in pre)
-        f = sum(r.p_value <= alpha for r in pre)
-        in_family = [r for r in pre
-                     if include_undersampled or r.adequately_sampled]
-        out_family = [r for r in pre
-                      if not (include_undersampled or r.adequately_sampled)]
-        groups: dict[str | None, list[TestResult]] = {}
-        for r in in_family:
-            groups.setdefault(r.family if per_family else None, []).append(r)
-        finalized = [r for group in groups.values()
-                     for r in _holm_finalize(group, alpha)]
-        finalized.extend(out_family)
-        finalized.sort(key=lambda r: r.language)
-        f_holm = sum(r.significant for r in finalized)
+    for k, (level, direction, counts, ps) in enumerate(plan):
+        pre = [(lang, tests[k]) for lang, tests in zip(languages, tested)
+               if tests[k] is not None]
+        groups: dict[str | None, list] = {}     # what Holm corrects
+        for lang, (_, log10_p, adequate) in pre:
+            if include_undersampled or adequate:
+                family = families.get(lang, UNKNOWN_FAMILY)
+                groups.setdefault(family if per_family else None,
+                                  []).append((lang, log10_p))
+        holm = {}       # each corrected language's p_holm, verdict, -log10
+        for group in groups.values():
+            langs, raw = zip(*group)
+            adjusted, rejected = stats.holm_adjust_log10(raw, alpha)
+            for lang, adj, rej in zip(langs, adjusted, rejected):
+                holm[lang] = (10.0 ** adj, rej, _neglog10(adj))
+        results = []
+        for lang, (p_value, log10_p, adequate) in pre:
+            c = counts[lang]
+            p_holm, significant, neglog10_holm = holm.get(lang,
+                                                          (None, False, None))
+            results.append(TestResult(
+                language=lang, family=families.get(lang, UNKNOWN_FAMILY),
+                level=level, direction=direction, m=c.m,
+                g=c.g_above if direction is Direction.ABOVE else c.g_below,
+                p=ps[lang], p_value=p_value, log10_p_value=log10_p,
+                adequately_sampled=adequate, p_holm=p_holm,
+                significant=significant, neglog10_holm=neglog10_holm))
         report.summaries.append(LevelSummary(
-            level=level, direction=direction, l0=l0, l=l, f=f,
-            f_holm=f_holm))
-        report.results.extend(finalized)
+            level=level, direction=direction, l0=len(pre),
+            l=sum(r.adequately_sampled for r in results),
+            f=sum(r.p_value <= alpha for r in results),
+            f_holm=sum(r.significant for r in results)))
+        report.results.extend(results)
     return report
 
 
@@ -450,8 +462,10 @@ def _summary_cells(report: Report, s: LevelSummary) -> list[str]:
 def _emit_csv(report: Report) -> str:
     lines = [_CSV_HEADER]
     for r in report.results:
-        cells = [_csv_quote(c) for c in _result_cells(report, r)]
-        lines.append(",".join(cells + [""] * 4))
+        cells = _result_cells(report, r)
+        # only the first five, the names, can hold a comma, quote or line end
+        lines.append(",".join([*map(_csv_quote, cells[:5]), *cells[5:]])
+                     + ",,,,")
     for s in report.summaries:
         head = _summary_cells(report, s)
         row = ([_csv_quote(c) for c in head[:3]] + [""] * 10 + head[3:])
@@ -460,8 +474,13 @@ def _emit_csv(report: Report) -> str:
     return "\n".join(lines)
 
 
+# a name in markdown: a line end would end its row or heading, a "|" its cell
+_MD_LINE_ENDS = str.maketrans({"\r": r"\r", "\n": r"\n"})
+_MD_CELL = str.maketrans({"\r": r"\r", "\n": r"\n", "|": r"\|"})
+
+
 def _emit_markdown(report: Report) -> str:
-    out = [f"# Report: {report.collection}", ""]
+    out = [f"# Report: {report.collection.translate(_MD_LINE_ENDS)}", ""]
     out.append("## Per-language tests")
     out.append("")
     cols = ("| level | direction | language | family | m | g | p_used "
@@ -470,8 +489,8 @@ def _emit_markdown(report: Report) -> str:
     out.append(cols)
     out.append("|" + "---|" * 12)
     for r in report.results:
-        cells = _result_cells(report, r)[1:]   # a name may hold a "|"
-        out.append("| " + " | ".join(c.replace("|", r"\|") or "-"
+        cells = _result_cells(report, r)[1:]
+        out.append("| " + " | ".join(c.translate(_MD_CELL) or "-"
                                      for c in cells) + " |")
     out.append("")
     out.append("## Level summaries")

@@ -64,7 +64,9 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     m = 2**26 on, each product is carried as a Dekker pair (the rounded
     product and its exact error) instead. Both forms hand ``fsum`` the same
     real sum. Up to m = 1024, log C(m, f) is the log of the exact integer,
-    updated term by term.
+    updated term by term; above, it comes from ``math.lgamma``. Each of the
+    two runs as its own loop, with f and m - f carried as floats, which
+    stay exact integers below 2**53.
     """
     if g <= 0:
         return 0.0
@@ -84,50 +86,81 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     c = _SPLIT * lq
     lq_hi = c - (c - lq)
     lq_lo = lq - lq_hi
-    exact = m <= _EXACT_COMB_LIMIT
-    if exact:
-        comb = math.comb(m, g)
-    else:
-        lgamma = math.lgamma
-        lgamma_m = lgamma(m + 1)
-    pieces = m < _EXACT_PIECE_LIMIT
     log, log1p, exp, fsum = math.log, math.log1p, math.exp, math.fsum
-    acc = ninf = -math.inf
-    for f in range(g, m + 1):
-        if exact:
-            lc = log(comb)
+    # Each loop takes the term of f = g before it starts, then for each f
+    # tests whether to stop after f, and adds the term of f + 1. Past the
+    # mode, the terms after f fall at least as fast as a geometric series
+    # of ratio r, so they sum to less than exp(lt) * r / (1 - r): the loop
+    # stops once that is below exp(cut), 1e-18 of the sum so far. Where
+    # 1/2 <= r < 1, 1 - r is exact and the log is >= 0, so while lt >= cut
+    # the test is false and its log is not taken.
+    a, b = float(g), float(m - g)     # f and m - f
+    if m <= _EXACT_COMB_LIMIT:
+        comb = math.comb(m, g)
+        acc = lt = fsum((log(comb), a * lp_hi, a * lp_lo, b * lq_hi,
+                         b * lq_lo))
+        for f in range(g, m):
+            if a >= mode:
+                r = b / (a + 1.0) * ratio
+                if r < 1.0:
+                    cut = acc + _LOG_STOP
+                    if (r < 0.5 or lt < cut) and \
+                            lt + log(r / (1.0 - r)) < cut:
+                        break
             comb = comb * (m - f) // (f + 1)
-        else:
-            lc = lgamma_m - lgamma(f + 1) - lgamma(m - f + 1)
-        a, b = float(f), float(m - f)
-        if pieces:
-            # finite: lc >= 0, the rest finite
-            lt = fsum((lc, a * lp_hi, a * lp_lo, b * lq_hi, b * lq_lo))
-        else:
-            t1 = a * lp
-            c = _SPLIT * a
-            a_hi = c - (c - a)
-            a_lo = a - a_hi
-            e1 = (((a_hi * lp_hi - t1) + a_hi * lp_lo + a_lo * lp_hi)
-                  + a_lo * lp_lo)
-            t2 = b * lq
-            c = _SPLIT * b
-            b_hi = c - (c - b)
-            b_lo = b - b_hi
-            e2 = (((b_hi * lq_hi - t2) + b_hi * lq_lo + b_lo * lq_hi)
-                  + b_lo * lq_lo)
-            lt = fsum((lc, t1, e1, t2, e2))
-        if acc == ninf:
-            acc = lt
-        elif acc < lt:
+            a += 1.0
+            b -= 1.0
+            lt = fsum((log(comb), a * lp_hi, a * lp_lo, b * lq_hi,
+                       b * lq_lo))
+            if acc < lt:
+                acc = lt + log1p(exp(acc - lt))
+            else:
+                acc = acc + log1p(exp(lt - acc))
+        return min(acc, 0.0)
+    lgamma = math.lgamma
+    lgamma_m = lgamma(m + 1)
+    pieces = m < _EXACT_PIECE_LIMIT
+    lc = lgamma_m - lgamma(a + 1.0) - lgamma(b + 1.0)
+    acc = lt = (fsum((lc, a * lp_hi, a * lp_lo, b * lq_hi, b * lq_lo))
+                if pieces else _dekker_sum(lc, a, b, lp, lp_hi, lp_lo,
+                                           lq, lq_hi, lq_lo))
+    for _ in range(g, m):
+        if a >= mode:
+            r = b / (a + 1.0) * ratio
+            if r < 1.0:
+                cut = acc + _LOG_STOP
+                if (r < 0.5 or lt < cut) and lt + log(r / (1.0 - r)) < cut:
+                    break
+        a += 1.0
+        b -= 1.0
+        lc = lgamma_m - lgamma(a + 1.0) - lgamma(b + 1.0)
+        lt = (fsum((lc, a * lp_hi, a * lp_lo, b * lq_hi, b * lq_lo))
+              if pieces else _dekker_sum(lc, a, b, lp, lp_hi, lp_lo,
+                                         lq, lq_hi, lq_lo))
+        if acc < lt:
             acc = lt + log1p(exp(acc - lt))
         else:
             acc = acc + log1p(exp(lt - acc))
-        if f >= mode and f < m:
-            r = (m - f) / (f + 1) * ratio
-            if r < 1.0 and lt + log(r / (1.0 - r)) < acc + _LOG_STOP:
-                break
     return min(acc, 0.0)
+
+
+def _dekker_sum(lc: float, a: float, b: float, lp: float, lp_hi: float,
+                lp_lo: float, lq: float, lq_hi: float, lq_lo: float) -> float:
+    """fsum of lc, a * lp and b * lq, each product carried as a Dekker pair:
+    the rounded product and its exact error, from 26-bit halves."""
+    t1 = a * lp
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    e1 = (((a_hi * lp_hi - t1) + a_hi * lp_lo + a_lo * lp_hi)
+          + a_lo * lp_lo)
+    t2 = b * lq
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    e2 = (((b_hi * lq_hi - t2) + b_hi * lq_lo + b_lo * lq_hi)
+          + b_lo * lq_lo)
+    return math.fsum((lc, t1, e1, t2, e2))
 
 
 def binomial_upper_tail(test: BinomialTestInput) -> float:

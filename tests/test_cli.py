@@ -307,6 +307,31 @@ class TestAnalyzeCommand:
         assert result["m"] == 10
 
 
+    def test_line_ends_in_names_keep_markdown_rows(self, tmp_path,
+                                                   capsysbinary):
+        """A line end in ``--language`` or ``--collection`` is escaped in
+        the markdown report, so the language keeps one row per direction
+        and the heading one line; CSV and JSON keep the names as they
+        are."""
+        write_corpus(tmp_path, ["Alpha"], sentence=THREE)
+        argv = ["analyze", "--input", str(tmp_path), "--levels", "n3_all",
+                "--language", "x\ny", "--collection", "c\r\nd"]
+        main(argv + ["--report", "markdown"])
+        lines = capsysbinary.readouterr().out.decode().split("\n")
+        assert lines[0] == r"# Report: c\r\nd"
+        rows = lines[lines.index("## Per-language tests") + 2:]
+        rows = rows[:rows.index("")]
+        assert [row[:26] for row in rows[2:]] == [
+            r"| n3_all | above | x\ny | ", r"| n3_all | below | x\ny | "]
+        assert all(row.count(" | ") == 11 for row in rows[2:])
+        main(argv + ["--report", "csv"])
+        assert ',"x\ny",Unknown,30,' in capsysbinary.readouterr().out.decode()
+        main(argv + ["--report", "json"])
+        doc = json.loads(capsysbinary.readouterr().out)
+        assert doc["collection"] == "c\r\nd"
+        assert {r["language"] for r in doc["results"]} == {"x\ny"}
+
+
 def _write_mixed_collection(tmp_path):
     """Three files, two languages, parse errors and exclusions in each."""
     blocks = {

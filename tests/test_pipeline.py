@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import itertools
 import json
 import math
@@ -37,6 +39,7 @@ from ddmtest import (
 )
 import ddmtest
 from ddmtest import _pool, pipeline, stats
+from ddmtest.nullmodels import EnsembleSpec, null_probability
 from ddmtest.pipeline import LanguageTally, _csv_quote, _neglog10, \
     analyze_tallies, fold_trees, success_probability
 
@@ -353,6 +356,20 @@ class TestNullCalibration:
                      else cell.g_below)
                 mass += weight * Fraction(count * g, total)
         assert mass == success_probability(counts, direction, noncrossing)
+
+    @given(st.just(Fraction(0)) | st.just(Fraction(1))
+           | st.fractions(0, 1, max_denominator=10 ** 9),
+           st.sampled_from(Direction), st.booleans())
+    def test_real_level_p_is_the_real_ensemble_mixture(
+            self, p_star, direction, noncrossing):
+        """n4_all_real's p, taken term by term, is the null probability of
+        the real ensemble at the language's star fraction."""
+        counts = LevelCounts("x", LevelSpec.N4_ALL_REAL, 1, 1, 0, 0, p_star)
+        got = success_probability(counts, direction, noncrossing)
+        want = null_probability(EnsembleSpec.real(p_star).weights, direction,
+                                noncrossing)
+        assert type(got) is type(want) is Fraction
+        assert got == want
 
     @pytest.mark.parametrize("noncrossing", [False, True])
     @pytest.mark.parametrize("level", list(LevelSpec))
@@ -779,6 +796,24 @@ class TestPooledTests:
             Path(ddmtest.__file__).resolve().parents[1]))
 
 
+NAMES = st.text(st.sampled_from(',"\n| ab'), min_size=1, max_size=6)
+
+
+def quote_every_cell(report):
+    """The CSV report as emitted when every cell went through
+    ``_csv_quote``: the oracle for the emitter, which quotes only names."""
+    lines = [pipeline._CSV_HEADER]
+    for r in report.results:
+        cells = [_csv_quote(c) for c in pipeline._result_cells(report, r)]
+        lines.append(",".join(cells + [""] * 4))
+    for s in report.summaries:
+        head = pipeline._summary_cells(report, s)
+        row = ([_csv_quote(c) for c in head[:3]] + [""] * 10 + head[3:])
+        lines.append(",".join(row))
+    lines.append("")
+    return "\n".join(lines)
+
+
 class TestEmitReport:
     def test_csv_empty_report_is_header_only(self):
         payload = emit_report(analyze_collection({}), "csv")
@@ -884,6 +919,24 @@ class TestEmitReport:
         quoted = '"' + value.replace('"', '""') + '"'
         assert _csv_quote(value) == (
             quoted if any(c in value for c in ',"\n') else value)
+
+    @given(st.dictionaries(NAMES, NAMES, min_size=1, max_size=3), NAMES)
+    @settings(max_examples=50, deadline=None)
+    def test_csv_names_read_back(self, families, collection):
+        """Names holding a comma, quote, line end or bar read back through
+        ``csv.reader`` as they were, in the bytes of the emitter that
+        quoted every cell."""
+        report = analyze_collection(
+            {lang: [N3_HIGH] * 3 for lang in families}, families=families,
+            collection=collection, levels=[LevelSpec.N3_ALL])
+        payload = emit_report(report, "csv")
+        assert payload == quote_every_cell(report).encode()
+        rows = list(csv.reader(io.StringIO(payload.decode(), newline="")))
+        assert [row[:5] for row in rows[1:-2]] == [
+            [collection, "n3_all", direction, lang, families[lang]]
+            for direction in ("above", "below") for lang in sorted(families)]
+        assert [row[:3] for row in rows[-2:]] == [
+            [collection, "n3_all", "above"], [collection, "n3_all", "below"]]
 
     def test_csv_quotes_awkward_names(self):
         report = analyze_collection({'we,ird "name"': [N3_HIGH]},

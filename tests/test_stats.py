@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddmtest import (
@@ -178,11 +178,98 @@ def reference_log_upper_tail(g, m, p):
     return min(acc, 0.0)
 
 
+def single_loop_log_upper_tail(g: int, m: int, p: Fraction) -> float:
+    """The tail as one loop over every form, as it ran before its loops
+    were specialised: kept verbatim as the reference that
+    ``log_binomial_upper_tail`` must reproduce bit for bit."""
+    if g <= 0:
+        return 0.0
+    if g > m:
+        return -math.inf
+    p = Fraction(p)
+    # float() of p, 1 - p and p / (1 - p): each is num / den in lowest terms
+    num, den = p.numerator, p.denominator
+    fp = num / den
+    lp = math.log(fp)
+    lq = math.log((den - num) / den)
+    ratio = num / (den - num)
+    mode = (m + 1) * fp
+    c = 134217729.0 * lp
+    lp_hi = c - (c - lp)
+    lp_lo = lp - lp_hi
+    c = 134217729.0 * lq
+    lq_hi = c - (c - lq)
+    lq_lo = lq - lq_hi
+    exact = m <= 1024
+    if exact:
+        comb = math.comb(m, g)
+    else:
+        lgamma = math.lgamma
+        lgamma_m = lgamma(m + 1)
+    pieces = m < (1 << 26)
+    log, log1p, exp, fsum = math.log, math.log1p, math.exp, math.fsum
+    acc = ninf = -math.inf
+    for f in range(g, m + 1):
+        if exact:
+            lc = log(comb)
+            comb = comb * (m - f) // (f + 1)
+        else:
+            lc = lgamma_m - lgamma(f + 1) - lgamma(m - f + 1)
+        a, b = float(f), float(m - f)
+        if pieces:
+            # finite: lc >= 0, the rest finite
+            lt = fsum((lc, a * lp_hi, a * lp_lo, b * lq_hi, b * lq_lo))
+        else:
+            t1 = a * lp
+            c = 134217729.0 * a
+            a_hi = c - (c - a)
+            a_lo = a - a_hi
+            e1 = (((a_hi * lp_hi - t1) + a_hi * lp_lo + a_lo * lp_hi)
+                  + a_lo * lp_lo)
+            t2 = b * lq
+            c = 134217729.0 * b
+            b_hi = c - (c - b)
+            b_lo = b - b_hi
+            e2 = (((b_hi * lq_hi - t2) + b_hi * lq_lo + b_lo * lq_hi)
+                  + b_lo * lq_lo)
+            lt = fsum((lc, t1, e1, t2, e2))
+        if acc == ninf:
+            acc = lt
+        elif acc < lt:
+            acc = lt + log1p(exp(acc - lt))
+        else:
+            acc = acc + log1p(exp(lt - acc))
+        if f >= mode and f < m:
+            r = (m - f) / (f + 1) * ratio
+            if r < 1.0 and lt + log(r / (1.0 - r)) < acc + math.log(1e-18):
+                break
+    return min(acc, 0.0)
+
+
 def assert_bit_identical(g, m, p):
-    want = reference_log_upper_tail(g, m, p)
     got = log_binomial_upper_tail(g, m, p)
-    assert got == want, (g, m, p)
-    assert math.copysign(1.0, got) == math.copysign(1.0, want), (g, m, p)
+    for reference in (reference_log_upper_tail, single_loop_log_upper_tail):
+        want = reference(g, m, p)
+        assert got == want, (reference.__name__, g, m, p)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want), \
+            (reference.__name__, g, m, p)
+
+
+@st.composite
+def tail_arguments(draw):
+    """(g, m, p) with m on both sides of 1024, p near 0, near 1 or
+    anywhere, and g at the edges, around the mode or anywhere; from g at
+    or below the mode, the stop test meets r on both sides of 1/2."""
+    m = draw(st.integers(1, 1024) | st.integers(1025, 5000))
+    den = draw(st.integers(2, 10 ** 15))
+    k = draw(st.integers(1, min(den - 1, 50))
+             | st.integers(max(1, den - 50), den - 1)
+             | st.integers(1, den - 1))
+    p = Fraction(k, den)
+    mode = math.floor((m + 1) * p)
+    g = draw(st.sampled_from([0, 1, mode - 1, mode + 1, m, m + 1])
+             | st.integers(0, m + 1))
+    return g, m, p
 
 
 class TestTailMatchesReference:
@@ -233,6 +320,17 @@ class TestTailMatchesReference:
                      (m - 900, 1 - Fraction(1, 1 << 30)),
                      (1 << 27, Fraction(1, 1 << 14))]:
             assert_bit_identical(g, m, p)
+
+    @given(tail_arguments())
+    # each of these stops where r is just below 1/2 and the term is within
+    # log((1 - r) / r) of the cut: there the stop test must be taken
+    @example((1, 392, Fraction(1, 3)))
+    @example((1, 431, Fraction(3, 8)))
+    @example((1, 2654, Fraction(1, 50)))
+    @example((36, 4608, Fraction(17, 1000)))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_tails(self, args):
+        assert_bit_identical(*args)
 
     @given(st.integers(1, 400), st.data())
     @settings(max_examples=60, deadline=None)
