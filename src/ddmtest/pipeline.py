@@ -260,17 +260,14 @@ def run_tests(counts: LevelCounts, direction: Direction, alpha: float = 0.05,
     if p is None:
         p = success_probability(counts, direction, noncrossing)
     g = counts.g_above if direction is Direction.ABOVE else counts.g_below
-    if counts.m == 0 or p is None:
-        return TestResult(language=counts.language, family=family,
-                          level=counts.level, direction=direction,
-                          m=counts.m, g=g, p=p, p_value=1.0,
-                          log10_p_value=0.0, adequately_sampled=False)
-    log10_p = stats.log_binomial_upper_tail(g, counts.m, p) / _LN10
-    memo = {} if min_sizes is None else min_sizes
-    min_size = memo.get(p)
-    if min_size is None:
-        min_size = memo[p] = stats.min_sample_size(p, alpha)
-    adequate = counts.m >= min_size
+    log10_p, adequate = 0.0, False      # untestable: p-value 1
+    if counts.m and p is not None:
+        log10_p = stats.log_binomial_upper_tail(g, counts.m, p) / _LN10
+        memo = {} if min_sizes is None else min_sizes
+        min_size = memo.get(p)
+        if min_size is None:
+            min_size = memo[p] = stats.min_sample_size(p, alpha)
+        adequate = counts.m >= min_size
     return TestResult(language=counts.language, family=family,
                       level=counts.level, direction=direction,
                       m=counts.m, g=g, p=p, p_value=10.0 ** log10_p,
@@ -427,7 +424,7 @@ _CSV_HEADER = ("collection,level,direction,language,family,m,g,p_used,"
                "l0,l,f,f_H")
 
 
-_CSV_SPECIAL_RE = re.compile('[,"\n]')
+_CSV_SPECIAL_RE = re.compile('[,"\r\n]')
 
 
 def _csv_quote(value: str) -> str:

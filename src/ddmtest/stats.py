@@ -64,9 +64,8 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     m = 2**26 on, each product is carried as a Dekker pair (the rounded
     product and its exact error) instead. Both forms hand ``fsum`` the same
     real sum. Up to m = 1024, log C(m, f) is the log of the exact integer,
-    updated term by term; above, it comes from ``math.lgamma``. Each of the
-    two runs as its own loop, with f and m - f carried as floats, which
-    stay exact integers below 2**53.
+    updated term by term; above, it comes from ``math.lgamma``. The loop
+    carries f and m - f as floats, which stay exact integers below 2**53.
     """
     if g <= 0:
         return 0.0
@@ -86,8 +85,9 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     c = _SPLIT * lq
     lq_hi = c - (c - lq)
     lq_lo = lq - lq_hi
-    log, log1p, exp, fsum = math.log, math.log1p, math.exp, math.fsum
-    # Each loop takes the term of f = g before it starts, then for each f
+    log, log1p, exp, fsum, lgamma = (math.log, math.log1p, math.exp,
+                                     math.fsum, math.lgamma)
+    # The loop takes the term of f = g before it starts, then for each f
     # tests whether to stop after f, and adds the term of f + 1. Past the
     # mode, the terms after f fall at least as fast as a geometric series
     # of ratio r, so they sum to less than exp(lt) * r / (1 - r): the loop
@@ -95,36 +95,18 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     # 1/2 <= r < 1, 1 - r is exact and the log is >= 0, so while lt >= cut
     # the test is false and its log is not taken.
     a, b = float(g), float(m - g)     # f and m - f
-    if m <= _EXACT_COMB_LIMIT:
-        comb = math.comb(m, g)
-        acc = lt = fsum((log(comb), a * lp_hi, a * lp_lo, b * lq_hi,
-                         b * lq_lo))
-        for f in range(g, m):
-            if a >= mode:
-                r = b / (a + 1.0) * ratio
-                if r < 1.0:
-                    cut = acc + _LOG_STOP
-                    if (r < 0.5 or lt < cut) and \
-                            lt + log(r / (1.0 - r)) < cut:
-                        break
-            comb = comb * (m - f) // (f + 1)
-            a += 1.0
-            b -= 1.0
-            lt = fsum((log(comb), a * lp_hi, a * lp_lo, b * lq_hi,
-                       b * lq_lo))
-            if acc < lt:
-                acc = lt + log1p(exp(acc - lt))
-            else:
-                acc = acc + log1p(exp(lt - acc))
-        return min(acc, 0.0)
-    lgamma = math.lgamma
-    lgamma_m = lgamma(m + 1)
+    exact = m <= _EXACT_COMB_LIMIT
     pieces = m < _EXACT_PIECE_LIMIT
-    lc = lgamma_m - lgamma(a + 1.0) - lgamma(b + 1.0)
+    if exact:
+        comb = math.comb(m, g)
+        lc = log(comb)
+    else:
+        lgamma_m = lgamma(m + 1)
+        lc = lgamma_m - lgamma(a + 1.0) - lgamma(b + 1.0)
     acc = lt = (fsum((lc, a * lp_hi, a * lp_lo, b * lq_hi, b * lq_lo))
                 if pieces else _dekker_sum(lc, a, b, lp, lp_hi, lp_lo,
                                            lq, lq_hi, lq_lo))
-    for _ in range(g, m):
+    for f in range(g, m):
         if a >= mode:
             r = b / (a + 1.0) * ratio
             if r < 1.0:
@@ -133,7 +115,11 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
                     break
         a += 1.0
         b -= 1.0
-        lc = lgamma_m - lgamma(a + 1.0) - lgamma(b + 1.0)
+        if exact:
+            comb = comb * (m - f) // (f + 1)
+            lc = log(comb)
+        else:
+            lc = lgamma_m - lgamma(a + 1.0) - lgamma(b + 1.0)
         lt = (fsum((lc, a * lp_hi, a * lp_lo, b * lq_hi, b * lq_lo))
               if pieces else _dekker_sum(lc, a, b, lp, lp_hi, lp_lo,
                                          lq, lq_hi, lq_lo))

@@ -328,11 +328,8 @@ def clean_sentence(sentence: RawSentence,
             by_id.setdefault(t.id, i)
 
     is_punct, is_null = cfg.predicates()
-    if is_null is None and not has_empty:
-        deleted = list(map(is_punct, tokens))
-    else:
-        deleted = [t.is_empty_node or (is_null is not None and is_null(t))
-                   or is_punct(t) for t in tokens]
+    deleted = [t.is_empty_node or (is_null is not None and is_null(t))
+               or is_punct(t) for t in tokens]
 
     get = by_id.get
     head = [get(t.head, -2) if t.head else -1 for t in tokens]

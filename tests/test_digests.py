@@ -1,11 +1,14 @@
-"""The benchmark's recorded report digests at seed 401: the CSV report of
+"""The benchmark's report digests at seed 401: the CSV report of
 ``inmem_analyze``, in one process and on the fork pool, and the CSV report
-of ``ddmtest analyze`` on ``ud_mixed``. ``perfbench/digests.json`` and
+of ``ddmtest analyze`` on ``ud_mixed``, against ``perfbench/digests.json``;
+and the JSON report of ``ddmtest analyze`` on ``dirty_conllx``, in one
+process and on the fork pool. ``perfbench/digests.json`` and
 ``perfbench/corpus.py`` are read, never written.
 
-``dirty_conllx`` is left out: its recorded digests predate the fix that
-drops a byte order mark at the start of a file, so they no longer match the
-report (ROADMAP, "Benchmark follow-ups", "Stale digests")."""
+The ``dirty_conllx`` digest is pinned here as a literal: the one recorded
+in ``digests.json`` predates the fix that drops a byte order mark at the
+start of a file, so it no longer matches the report (ROADMAP, "Benchmark
+follow-ups", "Stale digests")."""
 
 import hashlib
 import json
@@ -22,6 +25,9 @@ import corpus  # noqa: E402
 
 SEED = 401
 RECORDED = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+# the JSON report of the benchmark's dirty_conllx command at SEED
+DIRTY_CONLLX = \
+    "2469568e51551a785720edf371c09668c24f622068183a068bb98172f5acfe43"
 
 
 def digest(payload: bytes) -> str:
@@ -50,3 +56,16 @@ def test_ud_mixed(tmp_path, capsysbinary):
     cli.main(["analyze", "--input", str(tmp_path / "data")])
     assert digest(capsysbinary.readouterr().out) == \
         RECORDED["ud_mixed"][str(SEED)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pooled"])
+def test_dirty_conllx(tmp_path, cpus, monkeypatch, capsysbinary):
+    """The benchmark's ``dirty_conllx`` command: CoNLL-X in the Prague
+    scheme, a per-family JSON report without the undersampled languages."""
+    corpus.dirty_conllx(SEED, tmp_path)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
+    cli.main(["analyze", "--input", str(tmp_path / "hamledt"),
+              "--format", "conllx", "--scheme", "prague", "--report", "json",
+              "--per-family", "--exclude-undersampled",
+              "--families", str(tmp_path / "families.tsv")])
+    assert digest(capsysbinary.readouterr().out) == DIRTY_CONLLX

@@ -796,7 +796,7 @@ class TestPooledTests:
             Path(ddmtest.__file__).resolve().parents[1]))
 
 
-NAMES = st.text(st.sampled_from(',"\n| ab'), min_size=1, max_size=6)
+NAMES = st.text(st.sampled_from(',"\r\n| ab'), min_size=1, max_size=6)
 
 
 def quote_every_cell(report):
@@ -918,7 +918,7 @@ class TestEmitReport:
     def test_csv_quote_matches_the_character_rule(self, value):
         quoted = '"' + value.replace('"', '""') + '"'
         assert _csv_quote(value) == (
-            quoted if any(c in value for c in ',"\n') else value)
+            quoted if any(c in value for c in ',"\r\n') else value)
 
     @given(st.dictionaries(NAMES, NAMES, min_size=1, max_size=3), NAMES)
     @settings(max_examples=50, deadline=None)
@@ -937,6 +937,16 @@ class TestEmitReport:
             for direction in ("above", "below") for lang in sorted(families)]
         assert [row[:3] for row in rows[-2:]] == [
             [collection, "n3_all", "above"], [collection, "n3_all", "below"]]
+
+    def test_csv_name_with_a_carriage_return_reads_back(self):
+        """A bare carriage return in a name is quoted, so ``csv.reader``
+        reads the header, two test rows and two summary rows."""
+        report = analyze_collection({"a\rb": [N3_HIGH] * 3},
+                                    levels=[LevelSpec.N3_ALL])
+        payload = emit_report(report, "csv").decode()
+        rows = list(csv.reader(io.StringIO(payload, newline="")))
+        assert len(rows) == 5
+        assert [row[3] for row in rows[1:3]] == ["a\rb", "a\rb"]
 
     def test_csv_quotes_awkward_names(self):
         report = analyze_collection({'we,ird "name"': [N3_HIGH]},
