@@ -28,7 +28,7 @@ from pathlib import Path
 from . import _pool, pipeline, treebank
 from .nullmodels import Direction
 from .pipeline import LevelSpec
-from .treebank import ExclusionReason, ParseError, PreprocessConfig, Scheme
+from .treebank import ParseError, PreprocessConfig, Scheme
 
 _UD_DIR_RE = re.compile(r"UD_([A-Za-z_]+?)(?:-|$)")
 MAX_ERRORS_SHOWN = 20   # parse errors printed per input; the rest are counted
@@ -139,12 +139,10 @@ def _fold_stream(stream, fmt: str, cfg: PreprocessConfig, tag: str,
     errors = _ErrorLog()
     for result in treebank.clean_treebank(stream, fmt, cfg, tag, errors,
                                           skip_long=skip_long):
-        if result is treebank.UNCHECKED:
-            continue
-        if isinstance(result, ExclusionReason):
-            exclusions[result.value] += 1
-        else:
+        if type(result) is tuple:
             tally.add(*result)
+        elif result is not treebank.UNCHECKED:
+            exclusions[result.value] += 1
     if errors.count:
         exclusions["parse_error"] += errors.count
     shown = [f"ddmtest: skipped sentence ({err})" for err in errors.shown]

@@ -9,6 +9,7 @@ single tree afterwards is excluded with a reason, never silently dropped.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import operator
@@ -35,13 +36,13 @@ _GENERIC_PUNCT_RE = re.compile(r"PUNCT|PUNC|Punc|punc|PU|Z\S*|[^\w\s]+")
 # the column reader's view of UTF-8 bytes: the comment lines and the lines
 # blank by _BLANK_BYTES_RE's rule that open a block, the id of a range line
 # or an empty node, a block's regular ids (a block longer than this is read
-# by line) and each head's token index (-1 for the root)
+# by line)
 _OPENING_RE = re.compile(rb"(?:#[^\n]*(?:\n|\Z)|[\t-\r\x1c-\x1f ]*\n)*")
 _OTHER_ID_RE = re.compile(
     f"{_RANGE_RE.pattern}|{_DECIMAL_RE.pattern}".encode())
 _IDS = [b"%d" % i for i in range(1, 1025)]
-_HEAD_INDEX = dict(zip([b"0"] + _IDS, range(-1, len(_IDS))))
 _BOM_BYTES = _BOM.encode()
+_MEMO_CELLS = 1 << 14   # the most POS cells clean_treebank keeps judged
 
 # a line end and the whole run of lines after it that hold only the ASCII
 # characters str.isspace accepts (the class holds "\n" too): such lines end
@@ -77,6 +78,10 @@ class RawToken(NamedTuple):
     is_range_token: bool = False
 
 
+# RawToken of a tuple of all its fields, at the cost of a C call
+_new_token = functools.partial(tuple.__new__, RawToken)
+
+
 class RawSentence(Record):
     __slots__ = ("tokens", "source_id", "treebank_id")
 
@@ -100,8 +105,8 @@ class ParseError(FrozenRecord):
         return f"{where}line {self.line_no}: {self.message}"
 
 
-# The default deletion rules, each a predicate on one column: punctuation on
-# the POS column, null elements on the FORM column.
+# The default deletion rules, each on one column: a predicate for
+# punctuation on the POS column, and the FORM of a null element.
 
 def _generic_punct(pos: str) -> bool:
     return _GENERIC_PUNCT_RE.fullmatch(pos) is not None
@@ -113,10 +118,11 @@ def _generic_punct_utf8(pos: bytes) -> bool:
 
 
 def _default_rules(encode: Callable, generic_punct: Callable
-                   ) -> tuple[dict[Scheme, Callable], dict[Scheme, Callable]]:
-    """The default (punctuation, null element) rules by scheme, on column
-    values of the type ``encode`` makes of a ``str``."""
-    null = encode("NULL").__eq__
+                   ) -> tuple[dict[Scheme, Callable], dict[Scheme, object]]:
+    """The default punctuation rules by scheme, and the FORM of a null
+    element under each scheme that has them, on column values of the type
+    ``encode`` makes of a ``str``."""
+    null = encode("NULL")
     return ({Scheme.UD: encode("PUNCT").__eq__,
              # Prague positional tags put punctuation in class Z
              Scheme.PRAGUE: operator.methodcaller("startswith", encode("Z")),
@@ -156,7 +162,8 @@ class PreprocessConfig(FrozenRecord):
         punct, null = (rules.get(self.scheme) for rules in _TEXT_RULES)
         return (self.punct_predicate or (lambda token: punct(token.pos)),
                 self.empty_node_predicate or (
-                    None if null is None else lambda token: null(token.form)))
+                    None if null is None else
+                    lambda token: token.form == null))
 
 
 def _decoded(lines: Iterable[bytes]) -> Iterator[str | None]:
@@ -186,10 +193,13 @@ def _iter_lines(stream) -> Iterator[str | None]:
     return itertools.chain([first], lines)
 
 
-def _parse_token(cols: list[str]) -> RawToken:
-    """One token from a line's columns; ValueError names what is wrong."""
-    if len(cols) != _N_COLUMNS:
-        raise ValueError(f"expected {_N_COLUMNS} columns, got {len(cols)}")
+def _parse_token(line: str) -> RawToken:
+    """One token from a line; ValueError names what is wrong."""
+    # count before splitting, so that a long line of many tabs is not split
+    tabs = line.count("\t")
+    if tabs != _N_COLUMNS - 1:
+        raise ValueError(f"expected {_N_COLUMNS} columns, got {tabs + 1}")
+    cols = line.split("\t")
     idc = cols[0]
     # isascii: str.isdigit also accepts non-ASCII digits, which int() reads
     if not (idc.isdigit() and idc.isascii()):
@@ -209,7 +219,7 @@ def _parse_token(cols: list[str]) -> RawToken:
     head = int(head_c)
     if head == tid:
         raise ValueError(f"token {tid} is its own head")
-    return RawToken(tid, head, cols[1], cols[3], cols[7])
+    return _new_token((tid, head, cols[1], cols[3], cols[7], False, False))
 
 
 def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
@@ -289,7 +299,7 @@ def _parse_lines(lines: Iterable[str | None], treebank_id: str,
             tokens = []
             continue
         try:
-            token = _parse_token(line.split("\t"))
+            token = _parse_token(line)
         except ValueError as exc:
             bad = ParseError(line_no, str(exc), treebank_id)
             continue
@@ -319,12 +329,13 @@ def clean_sentence(sentence: RawSentence,
     if n_all == 0:
         return ExclusionReason.EMPTY_AFTER_PREPROCESSING
 
-    by_id = {t.id: i for i, t in enumerate(tokens) if not t.is_empty_node}
+    by_id = {t.id: i for i, t in enumerate(tokens, 1)
+             if not t.is_empty_node}
     has_empty = len(by_id) != n_all     # empty nodes or duplicate ids
     if has_empty:
         if len(by_id) != sum(not t.is_empty_node for t in tokens):
             return ExclusionReason.MALFORMED
-        for i, t in enumerate(tokens):
+        for i, t in enumerate(tokens, 1):
             by_id.setdefault(t.id, i)
 
     is_punct, is_null = cfg.predicates()
@@ -332,56 +343,69 @@ def clean_sentence(sentence: RawSentence,
                or is_punct(t) for t in tokens]
 
     get = by_id.get
-    head = [get(t.head, -2) if t.head else -1 for t in tokens]
-    if -2 in head:
+    head = [get(t.head, -1) if t.head else 0 for t in tokens]
+    if -1 in head:
         return ExclusionReason.MALFORMED
     return _tree_check(head, deleted)
 
 
 def _tree_check(head: list[int], deleted: list[bool]
                 ) -> tuple[int, list[tuple[int, int]]] | ExclusionReason:
-    """``clean_sentence`` once each token's head is known: ``head[i]`` is
-    the index of token i's head (-1 for the root) and ``deleted[i]`` says
-    whether token i goes. Overwrites ``head``."""
-    n_all = len(head)
-    survivors = [i for i, gone in enumerate(deleted) if not gone]
-    if not survivors:
-        return ExclusionReason.EMPTY_AFTER_PREPROCESSING
+    """``clean_sentence`` once each token's head is known, for one token or
+    more: ``head[i]`` is the number (1 + index) of token i's head, 0 for
+    the root, and ``deleted[i]`` says whether token i goes. Overwrites
+    both lists."""
+    n = len(head)
+    head.insert(0, 0)           # number 0 is the root, its own head
+    if True in deleted:
+        n_all = n
+        deleted.insert(0, False)
+        survivors = [i for i, gone in enumerate(deleted) if not gone]
+        n = len(survivors) - 1
+        if not n:
+            return ExclusionReason.EMPTY_AFTER_PREPROCESSING
+        # number the survivors 1..n in surface order, point each one's head
+        # at its nearest surviving ancestor and count those left at the
+        # root; a walk through more than n_all deleted tokens runs in a cycle
+        position = [0] * (n_all + 1)
+        roots = -1                  # the root's own head is 0 too
+        for p, i in enumerate(survivors):
+            position[i] = p
+            j = head[i]
+            if deleted[j]:
+                steps = 0
+                while deleted[j]:
+                    j = head[j]
+                    steps += 1
+                    if steps > n_all:
+                        return ExclusionReason.CYCLE
+                head[i] = j
+            if not j:
+                roots += 1
+    else:                           # nothing to reattach or renumber
+        survivors, position = range(1, n + 1), None
+        roots = head.count(0) - 1
+    if roots != 1:
+        return ExclusionReason.MULTIPLE_ROOTS if roots else \
+            ExclusionReason.CYCLE
 
-    # point each survivor's head at its nearest surviving ancestor; a walk
-    # through more than n_all deleted tokens runs in a cycle
-    for i in survivors:
-        j, steps = head[i], 0
-        while j >= 0 and deleted[j]:
+    # every survivor's head chain must reach the root. Walk up from each,
+    # stamping what it passes with where the walk began, to the root or to
+    # a token an earlier walk reached (and so reaches the root); a walk
+    # that comes back to its own stamp runs in a cycle
+    reached = [0] * len(head)
+    reached[0] = -1
+    for p in survivors:
+        j = p
+        while not reached[j]:
+            reached[j] = p
             j = head[j]
-            steps += 1
-            if steps > n_all:
-                return ExclusionReason.CYCLE
-        head[i] = j
-    if sum(head[i] == -1 for i in survivors) > 1:
-        return ExclusionReason.MULTIPLE_ROOTS
-
-    # every survivor's head chain must reach the root: a walk from a token
-    # not yet known to reach it, longer than n_all steps, runs in a cycle
-    # (as it must when no survivor is the root)
-    reaches_root = [False] * n_all
-    for i in survivors:
-        j, steps = i, 0
-        while j != -1 and not reaches_root[j]:
-            j = head[j]
-            steps += 1
-            if steps > n_all:
-                return ExclusionReason.CYCLE
-        j = i
-        while j != -1 and not reaches_root[j]:
-            reaches_root[j] = True
-            j = head[j]
-
-    position = [0] * n_all
-    for p, i in enumerate(survivors, start=1):
-        position[i] = p
-    return len(survivors), [(position[i], position[head[i]])
-                            for i in survivors if head[i] != -1]
+        if reached[j] == p:
+            return ExclusionReason.CYCLE
+    if position is None:
+        return n, [(i, j) for i, j in enumerate(head) if j]
+    return n, [(position[i], position[head[i]]) for i in survivors
+               if head[i]]
 
 
 def preprocess(sentence: RawSentence,
@@ -449,34 +473,37 @@ def clean_treebank(stream, fmt: str = "conllu",
     default_rules = (cfg.punct_predicate is None
                      and cfg.empty_node_predicate is None)
     punct, null = (rules.get(cfg.scheme) for rules in _BYTES_RULES)
+    punct = _Judged(punct).__getitem__      # each POS cell judged once
     skip = False                    # skip_long, once a tree is out
     text, line_no = chunk.removeprefix(_BOM_BYTES), 1  # text starts on line_no
     while True:
         escaped = _holds_bad_byte(text)
         parts = _BLANK_BYTES_RE.split(text)    # block, blank lines, ..., block
         rest = parts.pop() if chunk else b""    # the last block may go on
-        pos = counted = 0               # where the next block starts in text
-        first = line_no                 # the line that starts at counted
-        for block, blank in itertools.zip_longest(parts[0::2], parts[1::2],
-                                                  fillvalue=b""):
-            start, pos = pos, pos + len(block) + len(blank)
+        done, first = 0, line_no        # parts[done] starts on line first
+        for i, block in enumerate(parts[0::2]):     # block i is parts[2 * i]
             if not block:               # blank lines open or end the text
                 continue
             result = None
             if default_rules and not (escaped and _holds_bad_byte(block)):
                 result = _clean_block(block, punct, null, skip)
             if result is None:
-                first += text.count(b"\n", counted, start)
-                counted = start
+                first += b"".join(parts[done:2 * i]).count(b"\n")
+                done = 2 * i
                 # with the blank lines after it, so that the block ends on
                 # the same line as it does in the whole input
-                yield from by_line(_decoded(io.BytesIO(block + blank)), first)
+                block = b"".join(parts[done:done + 2])
+                try:
+                    lines = io.StringIO(block.decode())
+                except UnicodeDecodeError:
+                    lines = _decoded(io.BytesIO(block))
+                yield from by_line(lines, first)
             else:
                 skip = skip or (skip_long and type(result) is tuple)
                 yield result
         if not chunk:
             return
-        line_no = first + text.count(b"\n", counted, pos)
+        line_no = first + b"".join(parts[done:]).count(b"\n")
         if len(rest) > _MAX_CARRY_BYTES:
             # no blank line in sight: read the rest line by line
             yield from by_line(rest_of_input(rest), line_no)
@@ -496,23 +523,37 @@ def _holds_bad_byte(data: bytes) -> bool:
     return False
 
 
+class _HeadNumbers(dict):
+    """Each plain head cell's token number, 0 for the root, and for any
+    other cell a number past every block's last id."""
+
+    def __missing__(self, cell: bytes) -> int:
+        return len(_IDS) + 1
+
+
+_HEAD_NUMBER = _HeadNumbers(zip([b"0"] + _IDS, range(len(_IDS) + 1)))
+
+
 # clean_treebank's answer, under skip_long, for a block of more than four
 # words whose tree was not checked
 UNCHECKED = object()
 
 
-def _clean_block(group: bytes, punct: Callable, null: Callable | None,
+def _clean_block(group: bytes, punct: Callable, null: bytes | None,
                  skip_long: bool):
     """``clean_sentence``'s result for the block in ``group``, UTF-8 lines
     with no ASCII blank line among them, under the default rules ``punct``
-    (on the POS column) and ``null`` (on FORM). None, for the line reader
-    to read it, unless the opening comment and empty lines are followed by
-    at most ``_MAX_BLOCK_TOKENS`` lines, each of ten columns, the regular
-    ids are 1..k, the other ids are ranges or empty nodes, and each head is
-    one of 0..k, written plainly, but not its own id. With ``skip_long``,
-    ``UNCHECKED`` for a block that keeps more than four words.
+    (on the POS column) and ``null`` (the FORM of a null element). None,
+    for the line reader to read it, unless the opening comment and empty
+    lines are followed by at most ``_MAX_BLOCK_TOKENS`` lines, each of ten
+    columns, the regular ids are 1..k, the other ids are ranges or empty
+    nodes, and each head is one of 0..k, written plainly, but not its own
+    id. With ``skip_long``, ``UNCHECKED`` for a block that keeps more than
+    four words.
     """
-    body = group[_OPENING_RE.match(group).end():].rstrip(b"\n")
+    if not group[:1].isdigit():     # comment or blank lines come first
+        group = group[_OPENING_RE.match(group).end():]
+    body = group.rstrip(b"\n")
     # one cell per column, and a line-end cell between lines: then every
     # line has ten columns if the line-end cells fall every eleventh
     k = body.count(b"\n") + 1
@@ -538,16 +579,33 @@ def _clean_block(group: bytes, punct: Callable, null: Callable | None,
         heads = list(itertools.compress(heads, regular))
         pos = list(itertools.compress(pos, regular))
         forms = list(itertools.compress(forms, regular))
-    head = list(map(_HEAD_INDEX.get, heads))
-    if None in head or max(head) >= k or any(map(operator.eq, head, range(k))):
+    head = list(map(_HEAD_NUMBER.__getitem__, heads))
+    if max(head) > k or any(map(operator.eq, head, range(1, k + 1))):
         return None
-    if null is None:
-        deleted = list(map(punct, pos))
-    else:
-        deleted = list(map(operator.or_, map(null, forms), map(punct, pos)))
+    deleted = list(map(punct, pos))
+    if null is not None and null in forms:
+        deleted = list(map(operator.or_, map(null.__eq__, forms), deleted))
     if skip_long and k - sum(deleted) > 4:
         return UNCHECKED
     return _tree_check(head, deleted)
+
+
+class _Judged(dict):
+    """A rule on column cells that judges each distinct cell once: its
+    ``__getitem__`` is the rule. It holds at most ``_MEMO_CELLS`` cells,
+    and forgets them all to take one more."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: Callable[[bytes], bool]):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, cell: bytes) -> bool:
+        if len(self) >= _MEMO_CELLS:
+            self.clear()
+        judged = self[cell] = self.rule(cell)
+        return judged
 
 
 def gather_files(paths: Iterable[str | Path]) -> list[Path]:

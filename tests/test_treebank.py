@@ -112,6 +112,25 @@ class TestParse:
         assert len(errors) == 1
         assert errors[0].line_no == 1
 
+    @pytest.mark.parametrize("read", [parse_treebank, clean_treebank])
+    def test_line_of_many_tabs_is_counted_not_split(self, read):
+        """A 2.1 MB line of 700,001 columns is one parse error that gives
+        its column count, and reading it holds less than four times the
+        line: its columns are counted before the line is split."""
+        line = b"1" + b"\tab" * 700_000
+        data = line + b"\n\n" + conllu_line(1).encode()
+        errors: list[ParseError] = []
+        tracemalloc.start()
+        try:
+            read_back = list(read(data, "conllu", errors=errors))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(read_back) == 1
+        assert [(e.line_no, e.message) for e in errors] == [
+            (1, "expected 10 columns, got 700001")]
+        assert peak < 4 * len(line)
+
     def test_error_names_line_number(self):
         text = conllu_line(1, head=2) + "\n" + "1\tbad\n\n" + conllu_line(1)
         errors: list[ParseError] = []
@@ -374,6 +393,86 @@ class TestPreprocessProperties:
                      tok(4, 0), tok(5, 4))
         tree = preprocess(s)
         assert tree == LinearizedTree(3, [(1, 2), (2, 3)])
+
+
+def reference_tree_check(head: list[int], deleted: list[bool]):
+    """``treebank._tree_check`` as it was before it walked each token once:
+    ``head[i]`` is the index of token i's head (-1 for the root) and
+    ``deleted[i]`` says whether token i goes. Overwrites ``head``. Kept as
+    the reference the check is compared with."""
+    n_all = len(head)
+    survivors = [i for i, gone in enumerate(deleted) if not gone]
+    if not survivors:
+        return ExclusionReason.EMPTY_AFTER_PREPROCESSING
+
+    # point each survivor's head at its nearest surviving ancestor; a walk
+    # through more than n_all deleted tokens runs in a cycle
+    for i in survivors:
+        j, steps = head[i], 0
+        while j >= 0 and deleted[j]:
+            j = head[j]
+            steps += 1
+            if steps > n_all:
+                return ExclusionReason.CYCLE
+        head[i] = j
+    if sum(head[i] == -1 for i in survivors) > 1:
+        return ExclusionReason.MULTIPLE_ROOTS
+
+    # every survivor's head chain must reach the root: a walk from a token
+    # not yet known to reach it, longer than n_all steps, runs in a cycle
+    # (as it must when no survivor is the root)
+    reaches_root = [False] * n_all
+    for i in survivors:
+        j, steps = i, 0
+        while j != -1 and not reaches_root[j]:
+            j = head[j]
+            steps += 1
+            if steps > n_all:
+                return ExclusionReason.CYCLE
+        j = i
+        while j != -1 and not reaches_root[j]:
+            reaches_root[j] = True
+            j = head[j]
+
+    position = [0] * n_all
+    for p, i in enumerate(survivors, start=1):
+        position[i] = p
+    return len(survivors), [(position[i], position[head[i]])
+                            for i in survivors if head[i] != -1]
+
+
+def assert_agrees_with_reference(head: tuple[int, ...],
+                                 deleted: tuple[bool, ...]):
+    """``_tree_check`` gives what the reference gives, of the same types:
+    the reason, or n and the edges in order."""
+    got = treebank._tree_check([h + 1 for h in head], list(deleted))
+    want = reference_tree_check(list(head), list(deleted))
+    assert repr(got) == repr(want), (head, deleted)
+
+
+@st.composite
+def head_arrays(draw, max_tokens=16):
+    """A head index for each token, -1 (the root) or another token's, and
+    whether each token is deleted."""
+    n = draw(st.integers(1, max_tokens))
+    head = tuple(h + (h >= i) for i, h in enumerate(
+        draw(st.lists(st.integers(-1, n - 2), min_size=n, max_size=n))))
+    return head, tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+class TestTreeCheck:
+    def test_every_small_input_agrees_with_reference(self):
+        for n in range(1, 6):
+            for head in itertools.product(range(-1, n), repeat=n):
+                if any(h == i for i, h in enumerate(head)):
+                    continue
+                for deleted in itertools.product((False, True), repeat=n):
+                    assert_agrees_with_reference(head, deleted)
+
+    @given(head_arrays())
+    @settings(max_examples=2000, deadline=None)
+    def test_agrees_with_reference(self, drawn):
+        assert_agrees_with_reference(*drawn)
 
 
 def count_blocks(lines: list[bytes]) -> int:
@@ -1073,10 +1172,43 @@ class TestBytesReader:
     @settings(max_examples=300, deadline=None)
     def test_bytes_rules_agree_with_text_rules(self, tag):
         for scheme in Scheme:
-            for rules in (0, 1):        # punctuation, null elements
-                text_rule = treebank._TEXT_RULES[rules].get(scheme)
-                bytes_rule = treebank._BYTES_RULES[rules].get(scheme)
-                assert (text_rule is None) == (bytes_rule is None)
-                if text_rule is not None:
-                    assert bytes_rule(tag.encode()) is text_rule(tag), \
-                        (scheme, rules)
+            text_punct, text_null = (rules.get(scheme)
+                                     for rules in treebank._TEXT_RULES)
+            bytes_punct, bytes_null = (rules.get(scheme)
+                                       for rules in treebank._BYTES_RULES)
+            judged = treebank._Judged(bytes_punct)
+            # the rule, and its memo judging the tag, then recalling it
+            for punct in (bytes_punct, judged.__getitem__, judged.__getitem__):
+                assert punct(tag.encode()) is text_punct(tag), scheme
+            assert (text_null is None) == (bytes_null is None)
+            if text_null is not None:
+                assert (tag.encode() == bytes_null) is (tag == text_null), \
+                    scheme
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_memo_holds_at_most_its_bound(self, scheme, monkeypatch):
+        """Blocks with a new POS tag on every token read as by line, and
+        the memo of the POS rule never holds more cells than its bound."""
+        monkeypatch.setattr(treebank, "_MEMO_CELLS", 8)
+        held = []
+
+        class Spy(treebank._Judged):
+            __slots__ = ()
+
+            def __missing__(self, cell):
+                judged = super().__missing__(cell)
+                held.append(len(self))
+                return judged
+
+        monkeypatch.setattr(treebank, "_Judged", Spy)
+        marks = ["".join(m) for m in itertools.product(".,;:!?", repeat=3)]
+        tags = [[f"Z{t}", marks[t], f"N{t}", f"PUNCT{t}"][t % 4]
+                for t in range(len(marks))]
+        blocks = ["\n".join(token_line(i, (i + 1) % 6, pos=tags[t + i - 1])
+                            for i in range(1, 6))
+                  for t in range(0, len(tags) - 5, 5)]
+        data = "\n\n".join(blocks).encode()
+        cfg = PreprocessConfig(scheme=scheme)
+        assert block_clean(data, cfg=cfg) == reference_clean(data, cfg=cfg)
+        assert len(held) == len(blocks) * 5
+        assert max(held) == 8
