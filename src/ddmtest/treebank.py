@@ -9,7 +9,6 @@ single tree afterwards is excluded with a reason, never silently dropped.
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import operator
@@ -43,6 +42,7 @@ _OTHER_ID_RE = re.compile(
 _IDS = [b"%d" % i for i in range(1, 1025)]
 _BOM_BYTES = _BOM.encode()
 _MEMO_CELLS = 1 << 14   # the most POS cells clean_treebank keeps judged
+_MEMO_CELL_BYTES = 32   # and the longest it keeps (tags are a few bytes)
 
 # a line end and the whole run of lines after it that hold only the ASCII
 # characters str.isspace accepts (the class holds "\n" too): such lines end
@@ -76,10 +76,6 @@ class RawToken(NamedTuple):
     deprel: str
     is_empty_node: bool = False
     is_range_token: bool = False
-
-
-# RawToken of a tuple of all its fields, at the cost of a C call
-_new_token = functools.partial(tuple.__new__, RawToken)
 
 
 class RawSentence(Record):
@@ -219,7 +215,7 @@ def _parse_token(line: str) -> RawToken:
     head = int(head_c)
     if head == tid:
         raise ValueError(f"token {tid} is its own head")
-    return _new_token((tid, head, cols[1], cols[3], cols[7], False, False))
+    return RawToken(tid, head, cols[1], cols[3], cols[7])
 
 
 def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
@@ -355,36 +351,31 @@ def _tree_check(head: list[int], deleted: list[bool]
     more: ``head[i]`` is the number (1 + index) of token i's head, 0 for
     the root, and ``deleted[i]`` says whether token i goes. Overwrites
     both lists."""
-    n = len(head)
+    n_all = len(head)
     head.insert(0, 0)           # number 0 is the root, its own head
-    if True in deleted:
-        n_all = n
-        deleted.insert(0, False)
-        survivors = [i for i, gone in enumerate(deleted) if not gone]
-        n = len(survivors) - 1
-        if not n:
-            return ExclusionReason.EMPTY_AFTER_PREPROCESSING
-        # number the survivors 1..n in surface order, point each one's head
-        # at its nearest surviving ancestor and count those left at the
-        # root; a walk through more than n_all deleted tokens runs in a cycle
-        position = [0] * (n_all + 1)
-        roots = -1                  # the root's own head is 0 too
-        for p, i in enumerate(survivors):
-            position[i] = p
-            j = head[i]
-            if deleted[j]:
-                steps = 0
-                while deleted[j]:
-                    j = head[j]
-                    steps += 1
-                    if steps > n_all:
-                        return ExclusionReason.CYCLE
-                head[i] = j
-            if not j:
-                roots += 1
-    else:                           # nothing to reattach or renumber
-        survivors, position = range(1, n + 1), None
-        roots = head.count(0) - 1
+    deleted.insert(0, False)
+    survivors = [i for i, gone in enumerate(deleted) if not gone]
+    n = len(survivors) - 1
+    if not n:
+        return ExclusionReason.EMPTY_AFTER_PREPROCESSING
+    # number the survivors 1..n in surface order, point each one's head at
+    # its nearest surviving ancestor and count those left at the root; a
+    # walk through more than n_all deleted tokens runs in a cycle
+    position = [0] * (n_all + 1)
+    roots = -1                  # the root's own head is 0 too
+    for p, i in enumerate(survivors):
+        position[i] = p
+        j = head[i]
+        if deleted[j]:
+            steps = 0
+            while deleted[j]:
+                j = head[j]
+                steps += 1
+                if steps > n_all:
+                    return ExclusionReason.CYCLE
+            head[i] = j
+        if not j:
+            roots += 1
     if roots != 1:
         return ExclusionReason.MULTIPLE_ROOTS if roots else \
             ExclusionReason.CYCLE
@@ -402,8 +393,6 @@ def _tree_check(head: list[int], deleted: list[bool]
             j = head[j]
         if reached[j] == p:
             return ExclusionReason.CYCLE
-    if position is None:
-        return n, [(i, j) for i, j in enumerate(head) if j]
     return n, [(position[i], position[head[i]]) for i in survivors
                if head[i]]
 
@@ -592,8 +581,9 @@ def _clean_block(group: bytes, punct: Callable, null: bytes | None,
 
 class _Judged(dict):
     """A rule on column cells that judges each distinct cell once: its
-    ``__getitem__`` is the rule. It holds at most ``_MEMO_CELLS`` cells,
-    and forgets them all to take one more."""
+    ``__getitem__`` is the rule. It holds at most ``_MEMO_CELLS`` cells of
+    at most ``_MEMO_CELL_BYTES`` bytes each, and forgets them all to take
+    one more; a longer cell is judged each time it comes."""
 
     __slots__ = ("rule",)
 
@@ -602,6 +592,8 @@ class _Judged(dict):
         self.rule = rule
 
     def __missing__(self, cell: bytes) -> bool:
+        if len(cell) > _MEMO_CELL_BYTES:
+            return self.rule(cell)
         if len(self) >= _MEMO_CELLS:
             self.clear()
         judged = self[cell] = self.rule(cell)

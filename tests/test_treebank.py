@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -326,6 +327,20 @@ class TestPreprocess:
         cfg = PreprocessConfig(punct_predicate=lambda t: t.deprel == "punct")
         s = sentence(tok(1, 0), tok(2, 1, deprel="punct"), tok(3, 1))
         assert preprocess(s, cfg) == LinearizedTree(2, [(1, 2)])
+
+    def test_custom_predicates_are_read_for_truth(self):
+        """A custom predicate may give any value: a match object deletes
+        its token as True does, and None keeps it as False does."""
+        s = sentence(tok(1, 0), tok(2, 1, pos="Z:"), tok(3, 2, form="NULL"),
+                     tok(4, 3))
+        by_match = PreprocessConfig(
+            punct_predicate=lambda t: re.match("Z", t.pos),
+            empty_node_predicate=lambda t: re.fullmatch("NULL", t.form))
+        by_bool = PreprocessConfig(
+            punct_predicate=lambda t: t.pos.startswith("Z"),
+            empty_node_predicate=lambda t: t.form == "NULL")
+        assert clean_sentence(s, by_match) == (2, [(2, 1)])
+        assert clean_sentence(s, by_bool) == (2, [(2, 1)])
 
     def test_direction_is_discarded(self):
         # reversing every dependency yields the same undirected tree
@@ -1184,6 +1199,36 @@ class TestBytesReader:
             if text_null is not None:
                 assert (tag.encode() == bytes_null) is (tag == text_null), \
                     scheme
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_memo_keeps_no_long_cell(self, scheme, monkeypatch):
+        """Blocks with a new 4 kB POS cell each read as by line, the memo
+        keeps no cell longer than its cell bound, and reading 2,000 such
+        blocks (8 MB of cells) peaks under 2 MiB."""
+        memos = []
+
+        class Spy(treebank._Judged):
+            __slots__ = ()
+
+            def __init__(self, rule):
+                super().__init__(rule)
+                memos.append(self)
+
+        monkeypatch.setattr(treebank, "_Judged", Spy)
+        tags = [f"{'NZ'[t % 2]}{t:04}" + "x" * 4000 for t in range(2000)]
+        data = "\n\n".join(token_line(1, 0, pos=tag) for tag in tags
+                            ).encode()
+        cfg = PreprocessConfig(scheme=scheme)
+        tracemalloc.start()
+        try:
+            fates, errors = block_clean(data, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (fates, errors) == reference_clean(data, cfg=cfg)
+        assert len(memos) == 1
+        assert max(map(len, memos[0]), default=0) <= treebank._MEMO_CELL_BYTES
+        assert peak < 2 * 1024 * 1024, peak
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_memo_holds_at_most_its_bound(self, scheme, monkeypatch):
