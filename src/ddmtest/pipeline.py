@@ -203,7 +203,9 @@ class LanguageTally:
 def fold_trees(trees: Iterable[LinearizedTree]) -> LanguageTally:
     """One language's trees folded into a tally, each distinct n = 3 or 4
     tree classified once: a tree's ``edges`` are normalised, so equal trees
-    have equal edges, n - 1 of them. Longer trees are only counted, not
+    have equal edges, n - 1 of them, and equal short trees built from plain
+    ints share one ``edges`` tuple, so most lookups match by identity
+    without comparing the edges. Longer trees are only counted, not
     hashed, so a collection of long sentences folds no slower than one
     ``LanguageTally.add`` per tree."""
     total = 0

@@ -34,10 +34,23 @@ class EnumerationCapError(ValueError):
     """Exhaustive enumeration refused; use Monte Carlo sampling instead."""
 
 
+# The one ``edges`` tuple of each distinct tree on at most _SHARED_MAX_N
+# vertices whose endpoints are all plain ints. By Cayley's formula there are
+# n^(n-2) labelled trees on n vertices, so the table never holds more than
+# 1 + 1 + 3 + 16 + 125 = 146 tuples, and it is never cleared.
+_SHARED_MAX_N = 5
+_shared_edges: dict[tuple, tuple] = {}
+
+
 class LinearizedTree(FrozenRecord):
     """Undirected tree on vertices {1..n}; vertex number = sentence position.
 
-    ``edges`` is kept normalised: each edge as (lower, higher), sorted.
+    ``edges`` is kept normalised: each edge as (lower, higher), sorted. Equal
+    trees on at most five vertices whose endpoints are all plain ints share
+    one ``edges`` tuple, so a collection of short sentences holds each
+    distinct tree's edges once, not once per sentence. Endpoints of another
+    type (``True``, ``numpy.int64``) compare equal to ints but keep their own
+    tuple, and with it their ``repr``.
     """
 
     __slots__ = ("n", "edges")
@@ -47,7 +60,6 @@ class LinearizedTree(FrozenRecord):
         if n < 1:
             raise ValueError("tree needs at least one vertex")
         norm = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
-        object.__setattr__(self, "edges", norm)
         if len(norm) != n - 1:
             raise ValueError(f"expected {n - 1} edges, got {len(norm)}")
         if len(set(norm)) != len(norm):
@@ -70,6 +82,10 @@ class LinearizedTree(FrozenRecord):
                     stack.append(w)
         if len(reached) != n:
             raise ValueError("not a tree: disconnected, with a cycle")
+        if n <= _SHARED_MAX_N and all(type(u) is int is type(v)
+                                      for u, v in norm):
+            norm = _shared_edges.setdefault(norm, norm)
+        object.__setattr__(self, "edges", norm)
 
     @property
     def degrees(self) -> list[int]:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import pickle
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_distribution, caterpillar_tree, path_tree, star_tree
+from ddmtest import trees as trees_module
 from ddmtest import (
     DistanceDistribution,
     EnumerationCapError,
@@ -18,6 +22,7 @@ from ddmtest import (
     min_d_formula,
     sum_of_distances,
 )
+from ddmtest.treebank import RawSentence, RawToken, preprocess
 
 
 @st.composite
@@ -54,6 +59,120 @@ class TestLinearizedTree:
         t = star_tree(5, hub=3)
         assert t.degrees == [1, 1, 4, 1, 1]
         assert t.hub_degree == 4
+
+
+def labelled_trees(n: int) -> list[LinearizedTree]:
+    """Every labelled tree on vertices 1..n, as each (n - 1)-subset of the
+    possible edges that builds."""
+    built = []
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    for edges in itertools.combinations(pairs, n - 1):
+        try:
+            built.append(LinearizedTree(n, edges))
+        except ValueError:
+            pass
+    return built
+
+
+class TestSharedEdges:
+    """Equal trees on at most five vertices with plain int endpoints share
+    one ``edges`` tuple, from a table that only valid trees enter."""
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        """An empty sharing table in place of the module's."""
+        table = {}
+        monkeypatch.setattr(trees_module, "_shared_edges", table)
+        return table
+
+    def test_equal_trees_share_whatever_the_order_or_orientation(self):
+        path = LinearizedTree(4, ((1, 2), (2, 3), (3, 4)))
+        for order in itertools.permutations(path.edges):
+            for flips in itertools.product((False, True), repeat=3):
+                edges = [(v, u) if flip else (u, v)
+                         for (u, v), flip in zip(order, flips)]
+                assert LinearizedTree(4, edges).edges is path.edges
+                assert LinearizedTree(4, tuple(edges)).edges is path.edges
+                assert LinearizedTree(4, [list(e) for e in edges]
+                                      ).edges is path.edges
+
+    def test_every_short_tree_enters_once(self, table):
+        for _ in range(2):
+            built = {n: labelled_trees(n) for n in range(1, 6)}
+            assert [len(built[n]) for n in built] == [1, 1, 3, 16, 125]
+        assert len(table) == 146    # n^(n-2) summed over n = 1..5
+        assert all(table[t.edges] is t.edges
+                   for short in built.values() for t in short)
+        assert len(labelled_trees(6)) == 6 ** 4
+        LinearizedTree(7, [(i, i + 1) for i in range(1, 7)])
+        assert len(table) == 146
+
+    def test_rejected_trees_add_nothing(self, table):
+        cases = next(m for m in TestLinearizedTree.test_invalid_trees_rejected
+                     .pytestmark if m.name == "parametrize").args[1]
+        for n, edges in cases:
+            with pytest.raises(ValueError):
+                LinearizedTree(n, edges)
+        assert table == {}
+
+    @pytest.mark.parametrize("first_plain", [True, False])
+    def test_bool_endpoints_keep_their_tuple(self, table, first_plain):
+        def plain():
+            return LinearizedTree(2, [(1, 2)])
+
+        if first_plain:
+            plain()
+        odd = LinearizedTree(2, [(True, 2)])
+        tree = plain()
+        assert odd == tree and odd.edges is not tree.edges
+        assert repr(odd.edges) == "((True, 2),)"
+        assert repr(tree.edges) == "((1, 2),)"
+        assert list(table) == [((1, 2),)]
+
+    def test_numpy_endpoints_keep_their_tuple(self, table):
+        np = pytest.importorskip("numpy")
+        one, two, three = np.int64(1), np.int64(2), np.int64(3)
+        odd = LinearizedTree(3, [(three, two), (two, one)])
+        mixed = LinearizedTree(3, [(1, two), (2, 3)])
+        tree = LinearizedTree(3, [(1, 2), (2, 3)])
+        assert odd == mixed == tree
+        assert odd.edges is not tree.edges and mixed.edges is not tree.edges
+        assert odd.edges == ((one, two), (two, three))
+        assert all(type(v) is np.int64 for e in odd.edges for v in e)
+        assert type(mixed.edges[0][1]) is np.int64
+        assert repr(tree) == "LinearizedTree(n=3, edges=((1, 2), (2, 3)))"
+        assert list(table) == [((1, 2), (2, 3))]
+
+    def test_preprocess_shares(self):
+        def sentence():
+            return RawSentence([RawToken(1, 2, "a", "NOUN", "nsubj"),
+                                RawToken(2, 0, "b", "VERB", "root"),
+                                RawToken(3, 2, "c", "NOUN", "obj")], "s")
+
+        first, second = preprocess(sentence()), preprocess(sentence())
+        assert first.edges is second.edges == ((1, 2), (2, 3))
+
+    def test_pickle_round_trip_shares(self):
+        tree = star_tree(5, hub=2)
+        assert pickle.loads(pickle.dumps(tree)).edges is tree.edges
+
+    def test_short_trees_hold_under_100_bytes_each(self):
+        rng = random.Random(22)
+        shapes = {n: labelled_trees(n) for n in (3, 4, 5)}
+        inputs = []
+        for _ in range(50_000):
+            n = rng.choice((3, 4, 5))
+            edges = [e[::rng.choice((1, -1))]
+                     for e in rng.choice(shapes[n]).edges]
+            rng.shuffle(edges)
+            inputs.append((n, edges))
+        tracemalloc.start()
+        try:
+            built = [LinearizedTree(n, edges) for n, edges in inputs]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / len(built) < 100
 
 
 class TestClassify:
