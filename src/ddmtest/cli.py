@@ -1,20 +1,21 @@
 """Command line interface: ``ddmtest analyze``.
 
-Reads treebank files (or stdin) in one streaming pass that folds each
-cleaned sentence into its language's tally, then runs the six-level
-analysis and writes the report. The files are folded on the fork pool
-(``_pool.map``), one worker per usable CPU up to one per file and at most
-eight, and merged in file order, so the report and stderr do not depend on
-the worker count. With one file or one usable CPU, in a process that runs
-other threads, or where the platform cannot fork, nothing is forked. The
-test stage (``pipeline.analyze_tallies``) runs on the same pool once its
-tests are large enough to repay a fork. Stderr shows at most 20 parse
-errors per input, then a count of the rest. A CSV report shows no
-exclusion counts, so its run does not check the tree of a block that keeps
-more than four words, once its input has given a tree: the report, stderr
-and exit code are the same. Exit codes: 0 success, 1 argument/format error
-or a worker that died, 2 empty collection (nothing survived
-preprocessing).
+Reads treebank files (or stdin) in one streaming pass: each item
+``treebank.clean_treebank`` gives, one per sentence block, is folded into
+its language's tally or counted as an exclusion or a parse error. It then
+runs the six-level analysis and writes the report. The files are folded
+on the fork pool (``_pool.map``), one worker per usable CPU up to one per
+file and at most eight, and merged in file order, so the report and
+stderr do not depend on the worker count. With one file or one usable
+CPU, in a process that runs other threads, or where the platform cannot
+fork, nothing is forked. The test stage (``pipeline.analyze_tallies``)
+runs on the same pool once its tests are large enough to repay a fork.
+Stderr shows at most 20 parse errors per input, then a count of the rest.
+A CSV report shows no exclusion counts, so its run does not check the
+tree of a block that keeps more than four words, once its input has given
+a tree: the report, stderr and exit code are the same. Exit codes: 0
+success, 1 argument/format error or a worker that died, 2 empty
+collection (nothing survived preprocessing).
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "minimization in short sentences")
     sub = parser.add_subparsers(dest="command", required=True)
     an = sub.add_parser("analyze", help="analyze a treebank collection")
-    an.add_argument("--input", nargs="+", required=True, metavar="PATH",
-                    help="treebank file(s), director(ies), or - for stdin")
+    an.add_argument("--input", nargs="+", action="extend", required=True,
+                    metavar="PATH", help="treebank file(s), director(ies), "
+                    "or - for stdin; may be repeated")
     an.add_argument("--format", choices=["conllu", "conllx"], default="conllu")
     an.add_argument("--collection", default="collection",
                     help="collection name used in the report")
@@ -110,53 +112,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _ErrorLog:
-    """An input's parse errors: the first ``MAX_ERRORS_SHOWN`` and a count."""
-
-    def __init__(self):
-        self.shown: list[ParseError] = []
-        self.count = 0
-
-    def append(self, error: ParseError) -> None:
-        self.count += 1
-        if self.count <= MAX_ERRORS_SHOWN:
-            self.shown.append(error)
-
-
-def _fold_stream(stream, fmt: str, cfg: PreprocessConfig, tag: str,
+def _fold_stream(stream, cfg: PreprocessConfig, tag: str,
                  skip_long: bool = False):
     """Fold one input's sentences into a tally, one at a time.
 
     Returns the tally, the exclusion counts (parse errors under
     ``"parse_error"``) and the stderr lines that report the parse errors:
-    the first ``MAX_ERRORS_SHOWN``, then one line counting the rest. With
-    ``skip_long`` the blocks ``clean_treebank`` leaves unchecked are
-    dropped: the cells and parse errors stay the same, but the exclusions
-    and ``trees`` leave out each long block after the first tree.
+    the first ``MAX_ERRORS_SHOWN``, then one line counting the rest; no
+    other parse error is kept. With ``skip_long`` the blocks
+    ``clean_treebank`` leaves unchecked are dropped: the cells and parse
+    errors stay the same, but the exclusions and ``trees`` leave out each
+    long block after the first tree.
     """
     tally = pipeline.LanguageTally()
     exclusions: Counter[str] = Counter()
-    errors = _ErrorLog()
-    for result in treebank.clean_treebank(stream, fmt, cfg, tag, errors,
+    shown = []
+    for result in treebank.clean_treebank(stream, cfg, tag,
                                           skip_long=skip_long):
         if type(result) is tuple:
             tally.add(*result)
+        elif type(result) is ParseError:
+            exclusions["parse_error"] += 1
+            if len(shown) < MAX_ERRORS_SHOWN:
+                shown.append(f"ddmtest: skipped sentence ({result})")
         elif result is not treebank.UNCHECKED:
             exclusions[result.value] += 1
-    if errors.count:
-        exclusions["parse_error"] += errors.count
-    shown = [f"ddmtest: skipped sentence ({err})" for err in errors.shown]
-    if errors.count > MAX_ERRORS_SHOWN:
-        shown.append(f"ddmtest: {tag}: {errors.count - MAX_ERRORS_SHOWN} "
-                     "more skipped sentences not shown")
+    hidden = exclusions["parse_error"] - len(shown)
+    if hidden:
+        shown.append(f"ddmtest: {tag}: {hidden} more skipped sentences "
+                     "not shown")
     return tally, exclusions, shown
 
 
-def _fold_file(path: Path, fmt: str, cfg: PreprocessConfig,
-               skip_long: bool):
+def _fold_file(path: Path, cfg: PreprocessConfig, skip_long: bool):
     """``_fold_stream`` over one file."""
     with open(path, "rb") as fh:
-        return _fold_stream(fh, fmt, cfg, str(path), skip_long)
+        return _fold_stream(fh, cfg, str(path), skip_long)
 
 
 def _load_inputs(args, cfg: PreprocessConfig):
@@ -187,7 +178,7 @@ def _load_inputs(args, cfg: PreprocessConfig):
         except OSError:         # the fold reports it in order
             sizes.append(0)
     folded = _pool.map(
-        lambda i: _fold_file(paths[i], args.format, cfg, skip_long), sizes,
+        lambda i: _fold_file(paths[i], cfg, skip_long), sizes,
         _pool.workers(len(paths)), lambda i: f"folding {paths[i]}")
     for path, result in zip(paths, folded):
         if isinstance(result, Exception):
@@ -195,8 +186,7 @@ def _load_inputs(args, cfg: PreprocessConfig):
         merge(args.language or infer_language(path), result)
     if "-" in args.input:
         merge(args.language or "stdin",
-              _fold_stream(sys.stdin.buffer, args.format, cfg, "<stdin>",
-                           skip_long))
+              _fold_stream(sys.stdin.buffer, cfg, "<stdin>", skip_long))
     return tallies, dict(exclusions)
 
 

@@ -230,19 +230,20 @@ def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
     naming ``treebank_id`` and the first offending line) and skipped;
     parsing continues with the next sentence.
     """
-    _check_format(fmt)
-    yield from _parse_lines(_iter_lines(stream), treebank_id, errors)
-
-
-def _check_format(fmt: str) -> None:
     if fmt not in ("conllu", "conllx"):
         raise ValueError(f"unknown treebank format {fmt!r}")
+    for item in _parse_lines(_iter_lines(stream), treebank_id):
+        if type(item) is not ParseError:
+            yield item
+        elif errors is not None:
+            errors.append(item)
 
 
 def _parse_lines(lines: Iterable[str | None], treebank_id: str,
-                 errors, first_line: int = 1) -> Iterator[RawSentence]:
+                 first_line: int = 1) -> Iterator[RawSentence | ParseError]:
     """``parse_treebank`` over decoded lines (None for a line that is not
-    UTF-8), the first of which is line ``first_line`` of the input."""
+    UTF-8), the first of which is line ``first_line`` of the input, with
+    each ``ParseError`` yielded in its block's place."""
     tokens: list[RawToken] = []
     sent_id: str | None = None
     bad: ParseError | None = None
@@ -259,12 +260,11 @@ def _parse_lines(lines: Iterable[str | None], treebank_id: str,
             if bad is None and not ordered:
                 bad = ParseError(line_no, "token ids not strictly increasing",
                                  treebank_id)
+            out = bad
             if bad is None:
                 out = RawSentence(tokens=tokens,
                                   source_id=sent_id or str(ordinal),
                                   treebank_id=treebank_id)
-            elif errors is not None:
-                errors.append(bad)
             tokens = []
             bad = None
             last_id = 0
@@ -279,9 +279,9 @@ def _parse_lines(lines: Iterable[str | None], treebank_id: str,
                 if bad is None:
                     bad = ParseError(line_no, "invalid UTF-8", treebank_id)
                 continue
-            sentence = flush()
-            if sentence is not None:
-                yield sentence
+            block = flush()
+            if block is not None:
+                yield block
             continue
         if line[0] == "#":
             key, eq, value = line[1:].partition("=")
@@ -304,9 +304,9 @@ def _parse_lines(lines: Iterable[str | None], treebank_id: str,
                 ordered = False
             last_id = token.id
         tokens.append(token)
-    sentence = flush()
-    if sentence is not None:
-        yield sentence
+    block = flush()
+    if block is not None:
+        yield block
 
 
 def clean_sentence(sentence: RawSentence,
@@ -408,57 +408,47 @@ def preprocess(sentence: RawSentence,
     return LinearizedTree(n=n, edges=edges)
 
 
-def clean_treebank(stream, fmt: str = "conllu",
-                   cfg: PreprocessConfig = PreprocessConfig(),
-                   treebank_id: str = "", errors=None, *,
-                   skip_long: bool = False
+def clean_treebank(stream, cfg: PreprocessConfig = PreprocessConfig(),
+                   treebank_id: str = "", *, skip_long: bool = False
                    ) -> Iterator[tuple[int, list[tuple[int, int]]]
-                                 | ExclusionReason | object]:
-    """``clean_sentence`` of each sentence of ``stream``, in order.
+                                 | ExclusionReason | ParseError | object]:
+    """One item for each block of ``stream``, in input order: what
+    ``clean_sentence(s, cfg)`` gives for each ``s`` of
+    ``parse_treebank(stream, treebank_id=treebank_id)``, and in its
+    block's place each ``ParseError`` that ``parse_treebank`` records.
 
-    Yields what ``clean_sentence(s, cfg)`` yields for each ``s`` of
-    ``parse_treebank(stream, fmt, treebank_id, errors)``, and records the
-    same parse errors. ``stream`` is a binary or text file object, or the
-    content itself (``bytes`` or ``str``). Text, a ``str`` or a stream
-    whose ``read`` gives ``str``, goes line by line to the line reader.
-    Bytes are read a chunk of whole lines at a time, split into blocks at
-    runs of empty or ASCII-whitespace lines and checked to be UTF-8, not
-    decoded.
-    Under the scheme's default rules each block is taken apart by columns.
-    A block the column reader cannot vouch for, such as one that holds a
-    byte that is not UTF-8, a line blank by other whitespace, a comment
-    after its first token line or only comments, goes through the line
-    reader with its real line numbers. So does the rest of an input after a
-    long run with no blank line.
+    ``stream`` is a binary file object or the content itself as ``bytes``;
+    text raises ``TypeError`` (read it with ``parse_treebank`` and
+    ``clean_sentence``). Bytes are read a chunk of whole lines at a time,
+    split into blocks at runs of empty or ASCII-whitespace lines and
+    checked to be UTF-8, not decoded. Under the scheme's default rules
+    each block is taken apart by columns. A block the column reader cannot
+    vouch for, such as one that holds a byte that is not UTF-8, a line
+    blank by other whitespace, a comment after its first token line or
+    only comments, goes through the line reader with its real line
+    numbers. So does the rest of an input after a long run with no blank
+    line.
 
     With ``skip_long``, once the column reader has given a tree, a block it
     vouches for that keeps more than four words after deletion yields
     ``UNCHECKED`` instead of a tree with n > 4 or an exclusion: such a
     block lands in no cell of a tally, so only its fate is left unknown.
     """
-    _check_format(fmt)
     if isinstance(stream, bytes):
         stream = io.BytesIO(stream)
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)    # breaks lines at "\n" only
 
     def read():                 # the next chunk of whole lines
         return stream.read(_CHUNK_BYTES) + stream.readline()
 
-    def rest_of_input(text):
-        while text:
-            yield from _decoded(io.BytesIO(text))
-            text = read()
-
     def by_line(lines, first_line):
-        for sentence in _parse_lines(lines, treebank_id, errors, first_line):
-            yield clean_sentence(sentence, cfg)
+        for item in _parse_lines(lines, treebank_id, first_line):
+            yield item if type(item) is ParseError else \
+                clean_sentence(item, cfg)
 
-    chunk = read()
-    if isinstance(chunk, str):
-        lines = itertools.chain(io.StringIO(chunk), stream)
-        yield from by_line(_iter_lines(lines), 1)
-        return
+    chunk = stream if isinstance(stream, str) else read()
+    if isinstance(chunk, str):      # a str, or a text stream's first read
+        raise TypeError("clean_treebank reads bytes; read text with "
+                        "parse_treebank and clean_sentence")
     default_rules = (cfg.punct_predicate is None
                      and cfg.empty_node_predicate is None)
     punct, null = (rules.get(cfg.scheme) for rules in _BYTES_RULES)
@@ -495,7 +485,9 @@ def clean_treebank(stream, fmt: str = "conllu",
         line_no = first + b"".join(parts[done:]).count(b"\n")
         if len(rest) > _MAX_CARRY_BYTES:
             # no blank line in sight: read the rest line by line
-            yield from by_line(rest_of_input(rest), line_no)
+            lines = itertools.chain(io.BytesIO(rest),
+                                    iter(stream.readline, b""))
+            yield from by_line(_decoded(lines), line_no)
             return
         chunk = read()
         text = rest + chunk
@@ -603,16 +595,16 @@ class _Judged(dict):
 def gather_files(paths: Iterable[str | Path]) -> list[Path]:
     """Expand files and directories into a sorted list of treebank files.
 
-    Directories are searched recursively for *.conllu and *.conll. A file
-    reached twice, as compared by ``Path.resolve``, is kept only where it
-    first appears, as it was given.
+    Directories are searched recursively for files named *.conllu and
+    *.conll. A file reached twice, as compared by ``Path.resolve``, is kept
+    only where it first appears, as it was given.
     """
     out: dict[Path, Path] = {}
     for p in paths:
         p = Path(p)
         if p.is_dir():
             found = sorted(q for pat in ("*.conllu", "*.conll")
-                           for q in p.rglob(pat))
+                           for q in p.rglob(pat) if q.is_file())
         elif p.is_file():
             found = [p]
         else:

@@ -1,15 +1,39 @@
-"""Shared builders for small trees used across the suite, and a guard
-against child processes a test leaves behind."""
+"""Shared builders for small trees used across the suite, the
+benchmark's generated collections at seed 401, and a guard against child
+processes a test leaves behind."""
 
 from __future__ import annotations
 
 import itertools
 import os
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from ddmtest import LinearizedTree
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import corpus  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def ud_mixed(tmp_path_factory):
+    """The benchmark's ``ud_mixed`` collection at seed 401, written once a
+    session: its directory and its ``corpus.Collection``. Tests only read
+    it."""
+    path = tmp_path_factory.mktemp("ud_mixed")
+    return path, corpus.ud_mixed(401, path)
+
+
+@pytest.fixture(scope="session")
+def dirty_conllx(tmp_path_factory):
+    """The benchmark's ``dirty_conllx`` collection at seed 401 (its files
+    under ``hamledt/``, and ``families.tsv``), as ``ud_mixed`` gives it."""
+    path = tmp_path_factory.mktemp("dirty_conllx")
+    return path, corpus.dirty_conllx(401, path)
 
 
 @pytest.fixture(autouse=True)

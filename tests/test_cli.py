@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import ddmtest
 from ddmtest import _pool, cli
 from ddmtest.cli import infer_language, main
-from ddmtest.treebank import ParseError
+from ddmtest.treebank import ParseError, PreprocessConfig
 
 STAR_AT_END = """\
 1	V	v	VERB	_	_	0	root	_	_
@@ -153,6 +154,17 @@ class TestAnalyzeCommand:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert runs[0][1].err.count(b"skipped sentence") == 1
 
+    def test_repeated_input_adds_paths(self, tmp_path, capsysbinary):
+        alpha, beta = write_corpus(tmp_path, ["Alpha", "Beta"])
+        runs = []
+        for argv in (["--input", str(alpha), "--input", str(beta)],
+                     ["--input", str(alpha), str(beta)]):
+            code = main(["analyze", *argv, "--report", "json"])
+            runs.append((code, capsysbinary.readouterr()))
+        assert runs[0] == runs[1]
+        assert {r["language"] for r in json.loads(runs[0][1].out)[
+            "results"]} == {"Alpha", "Beta"}
+
     def test_missing_input_exit_1(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "nope.conllu")]) == 1
 
@@ -226,12 +238,18 @@ class TestAnalyzeCommand:
             f"ddmtest: {path}: 3 more skipped sentences not shown"]
 
     def test_error_log_keeps_only_the_errors_shown(self):
-        log = cli._ErrorLog()
-        errors = [ParseError(line, "bad") for line in range(1, 31)]
-        for error in errors:
-            log.append(error)
-        assert log.count == 30
-        assert log.shown == errors[:cli.MAX_ERRORS_SHOWN]
+        """30 bad blocks give 20 stderr lines and one count line, and no
+        ``ParseError`` is kept past the fold."""
+        data = ((BROKEN + "\n") * 30 + STAR_AT_END).encode()
+        before = sum(type(o) is ParseError for o in gc.get_objects())
+        tally, exclusions, shown = cli._fold_stream(
+            data, PreprocessConfig(), "t")
+        assert sum(type(o) is ParseError for o in gc.get_objects()) == before
+        assert exclusions == {"parse_error": 30} and tally.trees == 1
+        assert shown == [
+            f"ddmtest: skipped sentence (t: line {line}: expected 10 "
+            "columns, got 1)" for line in range(1, 41, 2)] + [
+            "ddmtest: t: 10 more skipped sentences not shown"]
 
     def test_sent_id_comment_without_value(self, tmp_path, capsysbinary):
         path = tmp_path / "Alpha.conllu"

@@ -2,7 +2,8 @@
 ``inmem_analyze``, in one process and on the fork pool, and the CSV report
 of ``ddmtest analyze`` on ``ud_mixed``, against ``perfbench/digests.json``;
 and the JSON report of ``ddmtest analyze`` on ``dirty_conllx``, in one
-process and on the fork pool. ``perfbench/digests.json`` and
+process and on the fork pool. The two collections come from the session
+fixtures in ``conftest.py``. ``perfbench/digests.json`` and
 ``perfbench/corpus.py`` are read, never written.
 
 The ``dirty_conllx`` digest is pinned here as a literal: the one recorded
@@ -51,21 +52,20 @@ def test_inmem_analyze(inmem, cpus, monkeypatch):
         RECORDED["inmem_analyze"][str(SEED)]
 
 
-def test_ud_mixed(tmp_path, capsysbinary):
-    corpus.ud_mixed(SEED, tmp_path / "data")
-    cli.main(["analyze", "--input", str(tmp_path / "data")])
+def test_ud_mixed(ud_mixed, capsysbinary):
+    cli.main(["analyze", "--input", str(ud_mixed[0])])
     assert digest(capsysbinary.readouterr().out) == \
         RECORDED["ud_mixed"][str(SEED)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pooled"])
-def test_dirty_conllx(tmp_path, cpus, monkeypatch, capsysbinary):
+def test_dirty_conllx(dirty_conllx, cpus, monkeypatch, capsysbinary):
     """The benchmark's ``dirty_conllx`` command: CoNLL-X in the Prague
     scheme, a per-family JSON report without the undersampled languages."""
-    corpus.dirty_conllx(SEED, tmp_path)
+    data = dirty_conllx[0]
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
-    cli.main(["analyze", "--input", str(tmp_path / "hamledt"),
+    cli.main(["analyze", "--input", str(data / "hamledt"),
               "--format", "conllx", "--scheme", "prague", "--report", "json",
               "--per-family", "--exclude-undersampled",
-              "--families", str(tmp_path / "families.tsv")])
+              "--families", str(data / "families.tsv")])
     assert digest(capsysbinary.readouterr().out) == DIRTY_CONLLX

@@ -113,7 +113,7 @@ class TestParse:
         assert len(errors) == 1
         assert errors[0].line_no == 1
 
-    @pytest.mark.parametrize("read", [parse_treebank, clean_treebank])
+    @pytest.mark.parametrize("read", ["parse_treebank", "clean_treebank"])
     def test_line_of_many_tabs_is_counted_not_split(self, read):
         """A 2.1 MB line of 700,001 columns is one parse error that gives
         its column count, and reading it holds less than four times the
@@ -123,7 +123,10 @@ class TestParse:
         errors: list[ParseError] = []
         tracemalloc.start()
         try:
-            read_back = list(read(data, "conllu", errors=errors))
+            if read == "parse_treebank":
+                read_back = list(parse_treebank(data, errors=errors))
+            else:
+                read_back, errors = split(clean_treebank(data))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -574,6 +577,13 @@ class TestGatherFiles:
             p.write_text("", encoding="utf-8")
         assert gather_files([tmp_path]) == [a, b]
 
+    def test_directory_named_like_a_treebank_is_skipped(self, tmp_path):
+        (tmp_path / "sub.conllu").mkdir()
+        a = tmp_path / "sub.conllu" / "a.conllu"
+        a.write_text("", encoding="utf-8")
+        (tmp_path / "empty.conll").mkdir()
+        assert gather_files([tmp_path]) == [a]
+
     def test_explicit_file_any_extension(self, tmp_path):
         p = tmp_path / "x.txt"
         p.write_text("", encoding="utf-8")
@@ -594,59 +604,37 @@ class TestGatherFiles:
         assert gather_files([again, tmp_path]) == [again, b]
 
 
-def reference_clean(data, fmt="conllu", cfg=PreprocessConfig()):
-    """Each sentence's fate and the parse errors, read line by line."""
+def reference_clean(data, cfg=PreprocessConfig()):
+    """Each block's fate read line by line, in input order: its sentence's
+    ``clean_sentence``, or the parse error ``parse_treebank`` records for
+    it (before it yields the next sentence)."""
     errors: list[ParseError] = []
-    fates = [clean_sentence(s, cfg)
-             for s in parse_treebank(data, fmt, "t", errors)]
-    return fates, errors
+    fates = []
+    for s in parse_treebank(data, treebank_id="t", errors=errors):
+        fates += errors
+        errors.clear()
+        fates.append(clean_sentence(s, cfg))
+    return fates + errors
 
 
-def block_clean(data, fmt="conllu", cfg=PreprocessConfig()):
-    errors: list[ParseError] = []
-    fates = list(clean_treebank(data, fmt, cfg, "t", errors))
-    return fates, errors
+def block_clean(data, cfg=PreprocessConfig()):
+    return list(clean_treebank(data, cfg, "t"))
 
 
-INPUT_KINDS = ["binary stream", "bytes", "str", "text stream"]
+def split(items):
+    """The items of a ``clean_treebank`` stream that are fates, and those
+    that are parse errors."""
+    items = list(items)
+    return ([i for i in items if type(i) is not ParseError],
+            [i for i in items if type(i) is ParseError])
+
+
+INPUT_KINDS = ["binary stream", "bytes"]
 
 
 def as_input(data: bytes, kind: str):
-    """``data`` as one of the ``INPUT_KINDS``, and the content that input
-    holds: a ``str`` gets each byte that is not UTF-8 as a lone surrogate."""
-    content = data if kind in ("binary stream", "bytes") else \
-        data.decode("utf-8", "surrogateescape")
-    if kind == "binary stream":
-        return io.BytesIO(content), content
-    if kind == "text stream":
-        return io.StringIO(content), content
-    return content, content
-
-
-class TextLines:
-    """A text stream that is not an ``io.TextIOBase``: ``read``,
-    ``readline`` and iteration over ``lines``, each made only once the
-    reading gets to it."""
-
-    def __init__(self, lines):
-        self.lines, self.held = iter(lines), ""   # held: part of a line
-
-    def readline(self):
-        line, self.held = self.held or next(self.lines, ""), ""
-        return line
-
-    def read(self, size):
-        pieces = [self.held]
-        while sum(map(len, pieces)) < size:
-            pieces.append(next(self.lines, ""))
-            if not pieces[-1]:
-                break
-        text = "".join(pieces)
-        self.held = text[size:]
-        return text[:size]
-
-    def __iter__(self):
-        return iter(self.readline, "")
+    """``data`` as one of the ``INPUT_KINDS``."""
+    return io.BytesIO(data) if kind == "binary stream" else data
 
 
 def token_line(i, head, form="w", pos="X"):
@@ -733,27 +721,24 @@ chunk_sizes = st.tuples(st.integers(1, 80), st.integers(1, 400))
 
 
 class TestCleanTreebank:
-    @given(noisy_inputs(), st.sampled_from(list(Scheme)),
-           st.sampled_from(["conllu", "conllx"]), chunk_sizes,
+    @given(noisy_inputs(), st.sampled_from(list(Scheme)), chunk_sizes,
            st.sampled_from(INPUT_KINDS))
     @settings(max_examples=400, deadline=None)
-    def test_matches_line_by_line(self, data, scheme, fmt, sizes, kind):
+    def test_matches_line_by_line(self, data, scheme, sizes, kind):
         cfg = PreprocessConfig(scheme=scheme)
-        stream, content = as_input(data, kind)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
             mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
-            got = block_clean(stream, fmt, cfg)
-        assert got == reference_clean(content, fmt, cfg)
+            got = block_clean(as_input(data, kind), cfg)
+        assert got == reference_clean(data, cfg)
 
     @given(noisy_inputs(), st.sampled_from(list(Scheme)),
            st.sampled_from(INPUT_KINDS))
     @settings(max_examples=100, deadline=None)
     def test_matches_line_by_line_at_full_size(self, data, scheme, kind):
         cfg = PreprocessConfig(scheme=scheme)
-        stream, content = as_input(data, kind)
-        assert block_clean(stream, cfg=cfg) == reference_clean(content,
-                                                               cfg=cfg)
+        assert block_clean(as_input(data, kind), cfg) == reference_clean(
+            data, cfg)
 
     @given(noisy_inputs(), st.sampled_from(list(Scheme)), chunk_sizes,
            st.sampled_from(INPUT_KINDS))
@@ -761,13 +746,12 @@ class TestCleanTreebank:
     def test_cli_fold_matches_line_by_line_fold(self, data, scheme, sizes,
                                                 kind):
         cfg = PreprocessConfig(scheme=scheme)
-        stream, content = as_input(data, kind)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
             mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
             tally, exclusions, shown = cli._fold_stream(
-                stream, "conllu", cfg, "t")
-        fates, errors = reference_clean(content, cfg=cfg)
+                as_input(data, kind), cfg, "t")
+        fates, errors = split(reference_clean(data, cfg))
         reference = LanguageTally()
         for fate in fates:
             if not isinstance(fate, ExclusionReason):
@@ -786,9 +770,9 @@ class TestCleanTreebank:
         starts = []
         real = treebank._parse_lines
 
-        def spy(lines, treebank_id, errors, first_line=1):
+        def spy(lines, treebank_id, first_line=1):
             starts.append(first_line)
-            return real(lines, treebank_id, errors, first_line)
+            return real(lines, treebank_id, first_line)
 
         monkeypatch.setattr(treebank, "_parse_lines", spy)
         return starts
@@ -823,14 +807,13 @@ class TestCleanTreebank:
                 mp.setattr(treebank, "_CHUNK_BYTES", chunk_bytes)
                 for text, sentences in texts.items():
                     for kind in INPUT_KINDS:
-                        stream, content = as_input(text.encode(), kind)
+                        data = text.encode()
                         by_line.clear()     # the reference reads by line
-                        fates, errors = block_clean(stream, cfg=cfg)
-                        if kind in ("binary stream", "bytes"):
-                            assert by_line == [], (text, kind, chunk_bytes)
-                        assert (fates, errors) == reference_clean(content,
-                                                                  cfg=cfg)
-                        assert errors == [] and len(fates) == sentences
+                        fates = block_clean(as_input(data, kind), cfg)
+                        assert by_line == [], (text, kind, chunk_bytes)
+                        assert fates == reference_clean(data, cfg)
+                        assert split(fates)[1] == [] and \
+                            len(fates) == sentences
 
     @pytest.mark.parametrize("lines", [
         [token_line(1, 0), "1\tonly\tthree"],
@@ -866,9 +849,10 @@ class TestCleanTreebank:
         data = "\n".join([token_line(1, 0), "", "1\t\udcff" + token_line(
             1, 0)[1:], "", token_line(1, 0), "", "# \udcff", token_line(1, 0)]
         ).encode("utf-8", "surrogateescape")
-        fates, errors = block_clean(data)
+        got = block_clean(data)
         assert by_line == [3, 7]
-        assert (fates, errors) == reference_clean(data)
+        assert got == reference_clean(data)
+        fates, errors = split(got)
         assert fates == [(1, [])] * 2
         assert [(e.line_no, e.message) for e in errors] == [
             (3, "invalid UTF-8"), (7, "invalid UTF-8")]
@@ -879,16 +863,16 @@ class TestCleanTreebank:
                 + "\r\n").encode()
         got = block_clean(data)
         assert by_line == []
-        assert got == reference_clean(data) == ([(1, []), (2, [(2, 1)])], [])
+        assert got == reference_clean(data) == [(1, []), (2, [(2, 1)])]
 
     def test_bom_only_stripped_at_input_start(self, monkeypatch):
         monkeypatch.setattr(treebank, "_CHUNK_BYTES", 1)   # a line a chunk
         text = "\ufeff" + token_line(1, 0) + "\n \n\ufeff" + token_line(1, 0)
         for kind in INPUT_KINDS:
-            stream, content = as_input(text.encode(), kind)
-            fates, errors = block_clean(stream)
-            assert (fates, errors) == reference_clean(content)
-            assert fates == [(1, [])] and errors[0].line_no == 3, kind
+            got = block_clean(as_input(text.encode(), kind))
+            assert got == reference_clean(text.encode())
+            assert got[0] == (1, []) and got[1].line_no == 3, kind
+            assert len(got) == 2
 
     def test_run_without_blank_line_reads_rest_by_line(self, by_line,
                                                        monkeypatch):
@@ -897,10 +881,10 @@ class TestCleanTreebank:
         lines = [token_line(1, 0), "", token_line(1, 0)] + [
             token_line(i, i - 1) for i in range(2, 9)] + [token_line(8, 0)]
         data = "\n".join(lines).encode()
-        fates, errors = block_clean(data)
+        got = block_clean(data)
         assert by_line == [3]
-        assert (fates, errors) == reference_clean(data)
-        assert [e.line_no for e in errors] == [11]
+        assert got == reference_clean(data)
+        assert [e.line_no for e in split(got)[1]] == [11]
 
     @pytest.mark.parametrize("limit", [None, 1 << 40],
                              ids=["carry limit", "no carry limit"])
@@ -919,7 +903,7 @@ class TestCleanTreebank:
                     ).encode()
             tracemalloc.start()
             try:
-                fates, errors = block_clean(data)
+                fates, errors = split(block_clean(data))
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -938,13 +922,12 @@ class TestCleanTreebank:
     def test_matches_line_by_line_under_small_block_cap(self, data, scheme,
                                                         sizes, cap, kind):
         cfg = PreprocessConfig(scheme=scheme)
-        stream, content = as_input(data, kind)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
             mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
             mp.setattr(treebank, "_MAX_BLOCK_TOKENS", cap)
-            got = block_clean(stream, cfg=cfg)
-            want = reference_clean(content, cfg=cfg)
+            got = block_clean(as_input(data, kind), cfg)
+            want = reference_clean(data, cfg)
         assert got == want
 
     @pytest.mark.parametrize("sizes", [None, (16, 16)],
@@ -959,10 +942,11 @@ class TestCleanTreebank:
                  + [token_line(i, i - 1) for i in range(1, 7)]  # lines 4-9
                  + ["# comment", token_line(7, 6), "",
                     token_line(1, 0), token_line(2, 1)])
+        data = "\n".join(lines).encode()
         for kind in INPUT_KINDS:
-            stream, content = as_input("\n".join(lines).encode(), kind)
-            fates, errors = block_clean(stream)
-            assert (fates, errors) == reference_clean(content), kind
+            got = block_clean(as_input(data, kind))
+            assert got == reference_clean(data), kind
+            fates, errors = split(got)
             assert fates == [(1, []), (2, [(2, 1)])], kind
             # the range line is the first of the four tokens held
             assert [(e.line_no, e.message) for e in errors] == [
@@ -983,7 +967,7 @@ class TestCleanTreebank:
             data = (data + "\n" + token_line(1, 0)).encode()
             tracemalloc.start()
             try:
-                fates, errors = block_clean(data)
+                fates, errors = split(block_clean(data))
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1005,13 +989,20 @@ class TestCleanTreebank:
         text = (token_line(1, 0) + "\n" + token_line(2, 1, pos="P") + "\n\n"
                 + token_line(1, 0) + "\n")
         cfg = PreprocessConfig(punct_predicate=lambda t: t.pos == "P")
-        assert block_clean(text.encode(), cfg=cfg) == ([(1, []), (1, [])], [])
+        assert block_clean(text.encode(), cfg) == [(1, []), (1, [])]
         assert by_line == [1, 4]
 
+    @pytest.mark.parametrize("text", [token_line(1, 0), "",
+                                      io.StringIO(token_line(1, 0))],
+                             ids=["str", "empty str", "text stream"])
+    def test_text_is_refused(self, text):
+        with pytest.raises(TypeError, match="parse_treebank"):
+            list(clean_treebank(text))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_str_with_lone_surrogates_reads_as_text(self, scheme, by_line):
-        # a lone surrogate is text in a str, not a byte that is not UTF-8
+        # a lone surrogate is text in a str, not a byte that is not UTF-8;
+        # text is read by parse_treebank and clean_sentence
         text = "\n".join([
             "# text = \udcff", token_line(1, 0, form="\ud800"),
             token_line(2, 1, pos="PUNCT\udfff"),
@@ -1021,42 +1012,11 @@ class TestCleanTreebank:
         cfg = PreprocessConfig(scheme=scheme)
         for stream in (text, io.StringIO(text)):
             by_line.clear()
-            fates, errors = block_clean(stream, cfg=cfg)
-            assert by_line == [1]       # text is read by line
-            assert (fates, errors) == reference_clean(text, cfg=cfg)
+            fates, errors = split(reference_clean(stream, cfg))
+            assert by_line == [1]
             assert [(e.line_no, e.message) for e in errors] == [
                 (7, "expected 10 columns, got 1")]
             assert len(fates) == 2
-
-    @given(noisy_inputs(), st.sampled_from(list(Scheme)), st.integers(1, 80))
-    @settings(max_examples=100, deadline=None)
-    def test_text_stream_matches_line_by_line(self, data, scheme, size):
-        cfg = PreprocessConfig(scheme=scheme)
-        _, content = as_input(data, "str")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(treebank, "_CHUNK_BYTES", size)     # the first read
-            got = block_clean(TextLines(io.StringIO(content)), cfg=cfg)
-        assert got == reference_clean(content, cfg=cfg)
-
-    def test_text_stream_is_read_not_slurped(self):
-        """The peak for 8 MiB of text read from a stream is that of 2 MiB.
-        A broken first line makes the line reader skip the rest, so only
-        the reading can hold the text."""
-        line = token_line(1, 0, form="w" * 1000) + "\n"
-
-        def peak(mib):
-            lines = itertools.chain(["1\tbroken\n"], itertools.repeat(
-                line, mib * 1024 * 1024 // len(line)))
-            tracemalloc.start()
-            try:
-                fates, errors = block_clean(TextLines(lines))
-                top = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert (fates, len(errors)) == ([], 1)
-            return top
-
-        assert peak(8) - peak(2) < 1 << 20
 
 
 TAGS = ["PUNCT", "PUNC", "Punc", "PU", "Z", "Z:", "Zx", "Z　", "NULL",
@@ -1064,12 +1024,10 @@ TAGS = ["PUNCT", "PUNC", "Punc", "PU", "Z", "Z:", "Zx", "Z　", "NULL",
         "N", "é", "١", "_", "", "﻿", "ＮＵＬＬ"]
 
 
-def skip_clean(data, fmt="conllu", cfg=PreprocessConfig()):
+def skip_clean(data, cfg=PreprocessConfig()):
     """``block_clean`` with the blocks of more than four words after the
     first tree left unchecked."""
-    errors: list[ParseError] = []
-    fates = list(clean_treebank(data, fmt, cfg, "t", errors, skip_long=True))
-    return fates, errors
+    return list(clean_treebank(data, cfg, "t", skip_long=True))
 
 
 def path_block(k, root=1, **kw):
@@ -1097,31 +1055,30 @@ class TestSkipLong:
             path_block(3),
         ]
         data = "\n\n".join("\n".join(b) for b in blocks).encode()
-        full, errors = block_clean(data)
+        full = block_clean(data)
         assert full[0] is ExclusionReason.CYCLE and full[1][0] == 5
         assert full[2:] == [ExclusionReason.MULTIPLE_ROOTS, full[3],
                             ExclusionReason.MULTIPLE_ROOTS,
                             ExclusionReason.CYCLE, full[6]]
-        assert full[3][0] == 4 and full[6][0] == 3 and errors == []
+        assert full[3][0] == 4 and full[6][0] == 3
         assert skip_clean(data) == (
             full[:2] + [treebank.UNCHECKED] + full[3:5]
-            + [treebank.UNCHECKED, full[6]], [])
+            + [treebank.UNCHECKED, full[6]])
 
     @given(noisy_inputs(with_trees), st.sampled_from(list(Scheme)),
-           st.sampled_from(["conllu", "conllx"]), chunk_sizes,
-           st.sampled_from(INPUT_KINDS))
+           chunk_sizes, st.sampled_from(INPUT_KINDS))
     @settings(max_examples=300, deadline=None)
-    def test_changes_only_long_fates(self, data, scheme, fmt, sizes, kind):
+    def test_changes_only_long_fates(self, data, scheme, sizes, kind):
         """Each unchecked block stands where the full check gives a tree of
         more than four words or an exclusion, after the first tree; the
-        parse errors are the same, and every block has one fate."""
+        parse errors are the same, and every block has one item."""
         cfg = PreprocessConfig(scheme=scheme)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
             mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
-            full, full_errors = block_clean(as_input(data, kind)[0], fmt, cfg)
-            fates, errors = skip_clean(as_input(data, kind)[0], fmt, cfg)
-        assert errors == full_errors
+            full = block_clean(as_input(data, kind), cfg)
+            fates = skip_clean(as_input(data, kind), cfg)
+        assert full == reference_clean(data, cfg)
         assert len(fates) == len(full)
         assert [f if s is treebank.UNCHECKED else s
                 for s, f in zip(fates, full)] == full
@@ -1130,11 +1087,7 @@ class TestSkipLong:
             if s is treebank.UNCHECKED:
                 assert isinstance(f, ExclusionReason) or f[0] > 4
                 assert trees[0] < i
-        assert count_blocks(data.split(b"\n")) == (
-            sum(type(s) is tuple for s in fates)
-            + fates.count(treebank.UNCHECKED)
-            + sum(isinstance(s, ExclusionReason) for s in fates)
-            + len(errors))
+        assert count_blocks(data.split(b"\n")) == len(fates)
 
     @given(noisy_inputs(with_trees), st.sampled_from(list(Scheme)),
            chunk_sizes, st.sampled_from(INPUT_KINDS))
@@ -1145,10 +1098,9 @@ class TestSkipLong:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treebank, "_CHUNK_BYTES", sizes[0])
             mp.setattr(treebank, "_MAX_CARRY_BYTES", sizes[1])
-            full = cli._fold_stream(as_input(data, kind)[0], "conllu", cfg,
-                                    "t")
-            skipped = cli._fold_stream(as_input(data, kind)[0], "conllu",
-                                       cfg, "t", skip_long=True)
+            full = cli._fold_stream(as_input(data, kind), cfg, "t")
+            skipped = cli._fold_stream(as_input(data, kind), cfg, "t",
+                                       skip_long=True)
         assert skipped[0].cells == full[0].cells
         assert (skipped[0].trees > 0) == (full[0].trees > 0)
         assert skipped[0].trees <= full[0].trees
@@ -1177,8 +1129,8 @@ class TestBytesReader:
                 data = "\n".join([token_line(1, 0), line, token_line(1, 0)]
                                   ).encode()
                 assert treebank._clean_block(data, punct, null, False) is None
-                fates, errors = block_clean(data)
-                assert (fates, errors) == reference_clean(data)
+                fates = block_clean(data)
+                assert fates == reference_clean(data)
                 assert fates == [(1, [])] * 2, hex(ord(c))
 
     @given(st.one_of(st.sampled_from(TAGS),
@@ -1221,11 +1173,11 @@ class TestBytesReader:
         cfg = PreprocessConfig(scheme=scheme)
         tracemalloc.start()
         try:
-            fates, errors = block_clean(data, cfg=cfg)
+            fates = block_clean(data, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (fates, errors) == reference_clean(data, cfg=cfg)
+        assert fates == reference_clean(data, cfg)
         assert len(memos) == 1
         assert max(map(len, memos[0]), default=0) <= treebank._MEMO_CELL_BYTES
         assert peak < 2 * 1024 * 1024, peak
@@ -1254,6 +1206,6 @@ class TestBytesReader:
                   for t in range(0, len(tags) - 5, 5)]
         data = "\n\n".join(blocks).encode()
         cfg = PreprocessConfig(scheme=scheme)
-        assert block_clean(data, cfg=cfg) == reference_clean(data, cfg=cfg)
+        assert block_clean(data, cfg) == reference_clean(data, cfg)
         assert len(held) == len(blocks) * 5
         assert max(held) == 8
