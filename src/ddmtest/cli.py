@@ -191,29 +191,18 @@ def _load_inputs(args, cfg: PreprocessConfig):
 
 
 def _run_analyze(args) -> int:
-    if not 0 < args.alpha < 1:
-        print("ddmtest: error: --alpha must be in (0, 1)", file=sys.stderr)
-        return 1
-    try:
-        levels = _parse_levels(args.levels)
-    except ValueError as exc:
-        print(f"ddmtest: error: {exc}", file=sys.stderr)
-        return 1
     directions = {"both": list(Direction),
                   "above": [Direction.ABOVE],
                   "below": [Direction.BELOW]}[args.direction]
     scheme = Scheme(args.scheme) if args.scheme else (
         Scheme.UD if args.format == "conllu" else Scheme.GENERIC)
     cfg = PreprocessConfig(scheme=scheme)
-
-    families = {}
-    if args.families:
-        try:
-            families = pipeline.load_families(args.families)
-        except (OSError, ValueError) as exc:
-            print(f"ddmtest: error: {exc}", file=sys.stderr)
-            return 1
     try:
+        if not 0 < args.alpha < 1:
+            raise ValueError("--alpha must be in (0, 1)")
+        levels = _parse_levels(args.levels)
+        families = (pipeline.load_families(args.families) if args.families
+                    else {})
         tallies, exclusions = _load_inputs(args, cfg)
     except (OSError, ValueError) as exc:
         print(f"ddmtest: error: {exc}", file=sys.stderr)

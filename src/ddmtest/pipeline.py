@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import _pool, stats
 from ._record import FrozenRecord, Record
-from .nullmodels import COUNTED_TREES, Direction, EnsembleSpec, _tail, \
+from .nullmodels import COUNTED_TREES, Direction, EnsembleSpec, \
     null_distribution, null_probability
-from .trees import LinearizedTree, TreeShape
+from .trees import LinearizedTree
 
 _LN10 = math.log(10.0)
 UNKNOWN_FAMILY = "Unknown"
@@ -239,14 +239,12 @@ def success_probability(counts: LevelCounts, direction: Direction,
     (the star fraction is undefined there).
     """
     weights = _LEVEL_WEIGHTS[counts.level]
-    if weights is not None:
-        return null_probability(weights, direction, noncrossing)
-    p_star = counts.p_star_real
-    if p_star is None:
-        return None
-    # null_probability over EnsembleSpec.real(p_star).weights, term by term
-    return (p_star * _tail(TreeShape.STAR, direction, noncrossing)
-            + (1 - p_star) * _tail(TreeShape.LINEAR, direction, noncrossing))
+    if weights is None:
+        p_star = counts.p_star_real
+        if p_star is None:
+            return None
+        weights = (0, p_star, 1 - p_star)
+    return null_probability(weights, direction, noncrossing)
 
 
 def run_tests(counts: LevelCounts, direction: Direction, alpha: float = 0.05,

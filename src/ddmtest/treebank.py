@@ -101,37 +101,23 @@ class ParseError(FrozenRecord):
         return f"{where}line {self.line_no}: {self.message}"
 
 
-# The default deletion rules, each on one column: a predicate for
-# punctuation on the POS column, and the FORM of a null element.
+# The default deletion rules by scheme, each on one column's text: a
+# predicate for punctuation on the POS column, and the FORM of a null
+# element under each scheme that has them.
 
 def _generic_punct(pos: str) -> bool:
     return _GENERIC_PUNCT_RE.fullmatch(pos) is not None
 
 
-def _generic_punct_utf8(pos: bytes) -> bool:
-    # \w and \s are Unicode classes: the tag is matched as text
-    return _generic_punct(pos.decode())
-
-
-def _default_rules(encode: Callable, generic_punct: Callable
-                   ) -> tuple[dict[Scheme, Callable], dict[Scheme, object]]:
-    """The default punctuation rules by scheme, and the FORM of a null
-    element under each scheme that has them, on column values of the type
-    ``encode`` makes of a ``str``."""
-    null = encode("NULL")
-    return ({Scheme.UD: encode("PUNCT").__eq__,
-             # Prague positional tags put punctuation in class Z
-             Scheme.PRAGUE: operator.methodcaller("startswith", encode("Z")),
-             Scheme.STANFORD: generic_punct,
-             Scheme.GENERIC: generic_punct},
-            # null elements in the Bengali/Hindi/Telugu HamleDT corpora
-            # surface as tokens whose form is the literal string NULL
-            {Scheme.PRAGUE: null, Scheme.STANFORD: null})
-
-
-# the rules for the line reader's tokens and for the column reader's bytes
-_TEXT_RULES = _default_rules(str, _generic_punct)   # str() of a str is itself
-_BYTES_RULES = _default_rules(str.encode, _generic_punct_utf8)
+_DEFAULT_RULES = ({Scheme.UD: "PUNCT".__eq__,
+                   # Prague positional tags put punctuation in class Z
+                   Scheme.PRAGUE: operator.methodcaller("startswith", "Z"),
+                   Scheme.STANFORD: _generic_punct,
+                   Scheme.GENERIC: _generic_punct},
+                  # null elements in the Bengali/Hindi/Telugu HamleDT
+                  # corpora surface as tokens whose form is the literal
+                  # string NULL
+                  dict.fromkeys((Scheme.PRAGUE, Scheme.STANFORD), "NULL"))
 
 
 class PreprocessConfig(FrozenRecord):
@@ -155,7 +141,7 @@ class PreprocessConfig(FrozenRecord):
     def predicates(self) -> tuple[Callable[[RawToken], bool],
                                   Callable[[RawToken], bool] | None]:
         """The (punctuation, non-word node) predicates in effect."""
-        punct, null = (rules.get(self.scheme) for rules in _TEXT_RULES)
+        punct, null = (rules.get(self.scheme) for rules in _DEFAULT_RULES)
         return (self.punct_predicate or (lambda token: punct(token.pos)),
                 self.empty_node_predicate or (
                     None if null is None else
@@ -228,7 +214,9 @@ def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
     including one with a line that is not valid UTF-8 or with more than
     ``_MAX_BLOCK_TOKENS`` token lines, is recorded in ``errors`` (one entry,
     naming ``treebank_id`` and the first offending line) and skipped;
-    parsing continues with the next sentence.
+    parsing continues with the next sentence. ``fmt`` (``"conllu"`` or
+    ``"conllx"``) is only checked, since CoNLL-U and CoNLL-X are read
+    alike.
     """
     if fmt not in ("conllu", "conllx"):
         raise ValueError(f"unknown treebank format {fmt!r}")
@@ -451,8 +439,10 @@ def clean_treebank(stream, cfg: PreprocessConfig = PreprocessConfig(),
                         "parse_treebank and clean_sentence")
     default_rules = (cfg.punct_predicate is None
                      and cfg.empty_node_predicate is None)
-    punct, null = (rules.get(cfg.scheme) for rules in _BYTES_RULES)
+    punct, null = (rules.get(cfg.scheme) for rules in _DEFAULT_RULES)
     punct = _Judged(punct).__getitem__      # each POS cell judged once
+    if null is not None:
+        null = null.encode()
     skip = False                    # skip_long, once a tree is out
     text, line_no = chunk.removeprefix(_BOM_BYTES), 1  # text starts on line_no
     while True:
@@ -572,23 +562,24 @@ def _clean_block(group: bytes, punct: Callable, null: bytes | None,
 
 
 class _Judged(dict):
-    """A rule on column cells that judges each distinct cell once: its
-    ``__getitem__`` is the rule. It holds at most ``_MEMO_CELLS`` cells of
-    at most ``_MEMO_CELL_BYTES`` bytes each, and forgets them all to take
-    one more; a longer cell is judged each time it comes."""
+    """A rule on the text of UTF-8 column cells that judges each distinct
+    cell once: its ``__getitem__`` decodes the cell and applies the rule.
+    It holds at most ``_MEMO_CELLS`` cells of at most ``_MEMO_CELL_BYTES``
+    bytes each, and forgets them all to take one more; a longer cell is
+    decoded and judged each time it comes."""
 
     __slots__ = ("rule",)
 
-    def __init__(self, rule: Callable[[bytes], bool]):
+    def __init__(self, rule: Callable[[str], bool]):
         super().__init__()
         self.rule = rule
 
     def __missing__(self, cell: bytes) -> bool:
-        if len(cell) > _MEMO_CELL_BYTES:
-            return self.rule(cell)
-        if len(self) >= _MEMO_CELLS:
-            self.clear()
-        judged = self[cell] = self.rule(cell)
+        judged = self.rule(cell.decode())
+        if len(cell) <= _MEMO_CELL_BYTES:
+            if len(self) >= _MEMO_CELLS:
+                self.clear()
+            self[cell] = judged
         return judged
 
 

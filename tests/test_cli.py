@@ -177,6 +177,35 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(tmp_path),
                      "--alpha", "2.0"]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "2.0"], "--alpha must be in (0, 1)"),
+        (["--levels", "n4_star,n9_bogus"],
+         "unknown level 'n9_bogus'; valid: all, n3_all, n4_all_real, "
+         "n4_unlabelled, n4_labelled, n4_star, n4_linear"),
+        (["--families", "{tmp}/none.tsv"],
+         "[Errno 2] No such file or directory: '{tmp}/none.tsv'"),
+        (["--families", "{tmp}/fam.tsv"],
+         "{tmp}/fam.tsv: line 2: expected 'language<TAB>family'"),
+        (["--input", "{tmp}/none.conllu"],
+         "no such file or directory: {tmp}/none.conllu"),
+        # the checks run in this order, and the first error is the only one
+        (["--alpha", "0", "--families", "{tmp}/none.tsv"],
+         "--alpha must be in (0, 1)"),
+    ])
+    def test_argument_and_input_errors(self, tmp_path, capsysbinary, flags,
+                                       message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_corpus(corpus, ["Alpha"])
+        (tmp_path / "fam.tsv").write_text("Alpha\tX\nBeta\n")
+        argv = ["analyze", "--input", str(corpus)]
+        argv += [f.format(tmp=tmp_path) for f in flags]
+        assert main(argv) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.decode() == (
+            f"ddmtest: error: {message.format(tmp=tmp_path)}\n")
+
     def test_missing_required_args_exit_1(self):
         assert main(["analyze"]) == 1
 

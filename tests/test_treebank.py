@@ -1123,7 +1123,8 @@ class TestBytesReader:
                   if chr(code).isspace()]
         assert len(others) > 15
         punct, null = (rules.get(Scheme.UD)
-                       for rules in treebank._BYTES_RULES)
+                       for rules in treebank._DEFAULT_RULES)
+        punct = treebank._Judged(punct).__getitem__
         for c in others:
             for line in (c, c * 2):
                 data = "\n".join([token_line(1, 0), line, token_line(1, 0)]
@@ -1137,20 +1138,20 @@ class TestBytesReader:
                      st.text(st.characters(blacklist_categories=("Cs",)),
                              max_size=6)))
     @settings(max_examples=300, deadline=None)
-    def test_bytes_rules_agree_with_text_rules(self, tag):
+    def test_memo_judges_by_the_text_rule(self, tag):
+        """The memo of each scheme's POS rule gives the rule's answer for
+        the tag's UTF-8 bytes when it judges the tag and when it recalls
+        it, and for a cell past its cell bound, which it judges each time
+        and never keeps."""
+        long_tag = (tag or "!") * (treebank._MEMO_CELL_BYTES + 1)
         for scheme in Scheme:
-            text_punct, text_null = (rules.get(scheme)
-                                     for rules in treebank._TEXT_RULES)
-            bytes_punct, bytes_null = (rules.get(scheme)
-                                       for rules in treebank._BYTES_RULES)
-            judged = treebank._Judged(bytes_punct)
-            # the rule, and its memo judging the tag, then recalling it
-            for punct in (bytes_punct, judged.__getitem__, judged.__getitem__):
-                assert punct(tag.encode()) is text_punct(tag), scheme
-            assert (text_null is None) == (bytes_null is None)
-            if text_null is not None:
-                assert (tag.encode() == bytes_null) is (tag == text_null), \
-                    scheme
+            rule = treebank._DEFAULT_RULES[0][scheme]
+            judged = treebank._Judged(rule)
+            for _ in range(2):
+                assert judged[tag.encode()] is rule(tag), scheme
+                assert list(judged) == [tag.encode()], scheme
+                assert judged[long_tag.encode()] is rule(long_tag), scheme
+                assert list(judged) == [tag.encode()], scheme
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_memo_keeps_no_long_cell(self, scheme, monkeypatch):
