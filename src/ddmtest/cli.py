@@ -246,10 +246,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "analyze":
-        return _run_analyze(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 1  # pragma: no cover
+    return _run_analyze(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

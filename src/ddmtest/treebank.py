@@ -211,9 +211,10 @@ def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
     ``stream`` may be a text or binary file object, an iterable of lines, or
     the file content itself (``str`` or ``bytes``); it is read line by line.
     A leading UTF-8 byte order mark is ignored. A malformed sentence,
-    including one with a line that is not valid UTF-8 or with more than
-    ``_MAX_BLOCK_TOKENS`` token lines, is recorded in ``errors`` (one entry,
-    naming ``treebank_id`` and the first offending line) and skipped;
+    including one with a line that is not valid UTF-8, with more than
+    ``_MAX_BLOCK_TOKENS`` token lines or whose regular token ids do not
+    strictly increase, is recorded in ``errors`` (one entry, naming
+    ``treebank_id`` and the first offending line) and skipped;
     parsing continues with the next sentence. ``fmt`` (``"conllu"`` or
     ``"conllx"``) is only checked, since CoNLL-U and CoNLL-X are read
     alike.
@@ -231,45 +232,30 @@ def _parse_lines(lines: Iterable[str | None], treebank_id: str,
                  first_line: int = 1) -> Iterator[RawSentence | ParseError]:
     """``parse_treebank`` over decoded lines (None for a line that is not
     UTF-8), the first of which is line ``first_line`` of the input, with
-    each ``ParseError`` yielded in its block's place."""
+    each ``ParseError`` yielded in its block's place and naming the
+    block's first offending line."""
     tokens: list[RawToken] = []
     sent_id: str | None = None
     bad: ParseError | None = None
     last_id = 0          # last regular token id, for the increasing-id check
-    ordered = True
     ordinal = 0
     cap = _MAX_BLOCK_TOKENS
-
-    def flush():
-        nonlocal tokens, sent_id, bad, last_id, ordered, ordinal
-        out = None
-        if tokens or bad is not None:
-            ordinal += 1
-            if bad is None and not ordered:
-                bad = ParseError(line_no, "token ids not strictly increasing",
-                                 treebank_id)
-            out = bad
-            if bad is None:
-                out = RawSentence(tokens=tokens,
-                                  source_id=sent_id or str(ordinal),
-                                  treebank_id=treebank_id)
-            tokens = []
-            bad = None
-            last_id = 0
-            ordered = True
-        sent_id = None
-        return out
-
-    line_no = first_line - 1
-    for line_no, line in enumerate(lines, start=first_line):
+    # the end of the input ends its last sentence as a blank line does
+    for line_no, line in enumerate(itertools.chain(lines, ("",)), first_line):
         if not line or line.isspace():
             if line is None:            # not valid UTF-8
                 if bad is None:
                     bad = ParseError(line_no, "invalid UTF-8", treebank_id)
                 continue
-            block = flush()
-            if block is not None:
-                yield block
+            if tokens or bad is not None:
+                ordinal += 1
+                yield bad or RawSentence(tokens=tokens,
+                                         source_id=sent_id or str(ordinal),
+                                         treebank_id=treebank_id)
+                tokens = []
+                bad = None
+                last_id = 0
+            sent_id = None
             continue
         if line[0] == "#":
             key, eq, value = line[1:].partition("=")
@@ -289,12 +275,11 @@ def _parse_lines(lines: Iterable[str | None], treebank_id: str,
             continue
         if not (token.is_range_token or token.is_empty_node):
             if token.id <= last_id:
-                ordered = False
+                bad = ParseError(line_no, "token ids not strictly increasing",
+                                 treebank_id)
+                continue
             last_id = token.id
         tokens.append(token)
-    block = flush()
-    if block is not None:
-        yield block
 
 
 def clean_sentence(sentence: RawSentence,
@@ -413,9 +398,9 @@ def clean_treebank(stream, cfg: PreprocessConfig = PreprocessConfig(),
     each block is taken apart by columns. A block the column reader cannot
     vouch for, such as one that holds a byte that is not UTF-8, a line
     blank by other whitespace, a comment after its first token line or
-    only comments, goes through the line reader with its real line
-    numbers. So does the rest of an input after a long run with no blank
-    line.
+    only comments, goes through the line reader by itself, with its real
+    line numbers. So does the rest of an input after a long run with no
+    blank line.
 
     With ``skip_long``, once the column reader has given a tree, a block it
     vouches for that keeps more than four words after deletion yields
@@ -459,9 +444,6 @@ def clean_treebank(stream, cfg: PreprocessConfig = PreprocessConfig(),
             if result is None:
                 first += b"".join(parts[done:2 * i]).count(b"\n")
                 done = 2 * i
-                # with the blank lines after it, so that the block ends on
-                # the same line as it does in the whole input
-                block = b"".join(parts[done:done + 2])
                 try:
                     lines = io.StringIO(block.decode())
                 except UnicodeDecodeError:

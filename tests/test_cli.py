@@ -252,6 +252,24 @@ class TestAnalyzeCommand:
             f"ddmtest: skipped sentence ({path}: line 6: "
             "expected 10 columns, got 1)"]
 
+    def test_ordering_error_names_first_out_of_order_token(self, tmp_path,
+                                                          capsysbinary):
+        line = "{}\tw\tw\tX\t_\t_\t{}\tdep\t_\t_".format
+        path = tmp_path / "Alpha.conllu"
+        # ids 1, 3, 2, 4 on lines 2-5; ids 1, 1, 2, 2 on lines 9-12, last
+        path.write_text("\n".join([
+            "# sent_id = a", line(1, 0), line(3, 1), line(2, 1), line(4, 1),
+            "", line(1, 0), "",
+            line(1, 0), line(1, 0), line(2, 1), line(2, 1)]),
+            encoding="utf-8")
+        code = main(["analyze", "--input", str(path), "--report", "json"])
+        assert code == 0
+        captured = capsysbinary.readouterr()
+        assert json.loads(captured.out)["exclusions"] == {"parse_error": 2}
+        assert captured.err.decode().splitlines() == [
+            f"ddmtest: skipped sentence ({path}: line {line_no}: "
+            "token ids not strictly increasing)" for line_no in (4, 10)]
+
     def test_parse_errors_capped_per_file(self, tmp_path, capsysbinary):
         path = tmp_path / "Alpha.conllu"
         path.write_text(STAR_AT_END + "\n" + (BROKEN + "\n") * 23,

@@ -2,7 +2,8 @@
 ``inmem_analyze``, in one process and on the fork pool, and the CSV report
 of ``ddmtest analyze`` on ``ud_mixed``, against ``perfbench/digests.json``;
 and the JSON report of ``ddmtest analyze`` on ``dirty_conllx``, in one
-process and on the fork pool. The two collections come from the session
+process and on the fork pool; and the standard error of both commands,
+against literals. The two collections come from the session
 fixtures in ``conftest.py``. ``perfbench/digests.json`` and
 ``perfbench/corpus.py`` are read, never written.
 
@@ -29,10 +30,24 @@ RECORDED = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
 # the JSON report of the benchmark's dirty_conllx command at SEED
 DIRTY_CONLLX = \
     "2469568e51551a785720edf371c09668c24f622068183a068bb98172f5acfe43"
+# the standard error of each command at SEED, the collection's directory
+# written as COLLECTION: 47 lines for ud_mixed, 252 for dirty_conllx
+STDERR = {
+    "ud_mixed":
+        "cee6e8ae1d435dbb29d4d443ef017799bb31741df0aef77c1b4f8200dfd23f9f",
+    "dirty_conllx":
+        "bf40d97535cc30154262b12f6fc670466498a56eb836a35ea39808d80c955a34",
+}
 
 
 def digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
+
+
+def stderr_digest(err: bytes, collection: Path) -> str:
+    """The digest of ``err`` with the directory ``collection``, which
+    changes from session to session, written as COLLECTION."""
+    return digest(err.replace(str(collection).encode(), b"COLLECTION"))
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +69,9 @@ def test_inmem_analyze(inmem, cpus, monkeypatch):
 
 def test_ud_mixed(ud_mixed, capsysbinary):
     cli.main(["analyze", "--input", str(ud_mixed[0])])
-    assert digest(capsysbinary.readouterr().out) == \
-        RECORDED["ud_mixed"][str(SEED)]
+    captured = capsysbinary.readouterr()
+    assert digest(captured.out) == RECORDED["ud_mixed"][str(SEED)]
+    assert stderr_digest(captured.err, ud_mixed[0]) == STDERR["ud_mixed"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pooled"])
@@ -68,4 +84,6 @@ def test_dirty_conllx(dirty_conllx, cpus, monkeypatch, capsysbinary):
               "--format", "conllx", "--scheme", "prague", "--report", "json",
               "--per-family", "--exclude-undersampled",
               "--families", str(data / "families.tsv")])
-    assert digest(capsysbinary.readouterr().out) == DIRTY_CONLLX
+    captured = capsysbinary.readouterr()
+    assert digest(captured.out) == DIRTY_CONLLX
+    assert stderr_digest(captured.err, data) == STDERR["dirty_conllx"]

@@ -1019,6 +1019,83 @@ class TestCleanTreebank:
             assert len(fates) == 2
 
 
+UNORDERED = "token ids not strictly increasing"
+# ids 1, 3, 2, 4 on lines 2-5, a good sentence on line 7, and ids 1, 1, 2, 2
+# on lines 9-12 with no blank line after them: the second 2 of the first
+# block (line 4) and the second 1 of the last (line 10) break the order
+UNORDERED_INPUT = "\n".join([
+    "# sent_id = a", token_line(1, 0), token_line(3, 1), token_line(2, 1),
+    token_line(4, 1), "", token_line(1, 0), "",
+    token_line(1, 0), token_line(1, 0), token_line(2, 1), token_line(2, 1)])
+# the default sizes read the refused blocks one by one; 16-byte chunks
+# carry each block across chunks; a 64-byte carry limit reads the last
+# block as the rest of the input
+READER_SIZES = [pytest.param({}, id="default"),
+                pytest.param({"_CHUNK_BYTES": 16}, id="small chunks"),
+                pytest.param({"_MAX_CARRY_BYTES": 64}, id="small carry")]
+
+
+class TestOrderingError:
+    """A block whose regular token ids do not strictly increase is a parse
+    error at the first token that breaks the order, on every route into
+    the line reader."""
+
+    @staticmethod
+    def read(data: bytes, sizes: dict, monkeypatch):
+        """The ``(line_no, message)`` of each error ``parse_treebank``
+        records for ``data``, after checking that ``clean_treebank`` under
+        ``sizes`` gives the same stream in both input kinds; and the first
+        line of each piece ``clean_treebank`` hands the line reader."""
+        want = reference_clean(data)
+        starts = []
+        real = treebank._parse_lines
+
+        def spy(lines, treebank_id, first_line=1):
+            starts.append(first_line)
+            return real(lines, treebank_id, first_line)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(treebank, "_parse_lines", spy)
+            for name, value in sizes.items():
+                mp.setattr(treebank, name, value)
+            for kind in INPUT_KINDS:
+                assert block_clean(as_input(data, kind)) == want, kind
+        return [(e.line_no, e.message) for e in split(want)[1]], starts
+
+    @pytest.mark.parametrize("sizes", READER_SIZES)
+    def test_first_out_of_order_token_is_named(self, sizes, monkeypatch):
+        errors, starts = self.read(UNORDERED_INPUT.encode(), sizes,
+                                   monkeypatch)
+        assert errors == [(4, UNORDERED), (10, UNORDERED)]
+        # the two refused blocks, each read once per input kind
+        assert starts == [1, 9] * len(INPUT_KINDS)
+        assert block_clean(UNORDERED_INPUT.encode())[1] == (1, [])
+
+    @pytest.mark.parametrize("sizes", READER_SIZES)
+    @pytest.mark.parametrize("block, expected", [
+        ([token_line(1, 0), token_line(3, 1), token_line(2, 1),
+          "1\tonly\tthree"], [(2, UNORDERED)]),
+        ([token_line(1, 0), token_line(2, 1), token_line(2, 1),
+          "\udcff"], [(2, UNORDERED)]),
+        (["1\tonly\tthree", token_line(2, 1), token_line(1, 0)],
+         [(0, "expected 10 columns, got 3")]),
+        (["0.1\tE\t_\t_\t_\t_\t_\t_\t_\t_", token_line(1, 2),
+          token_line(2, 0), "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_",
+          "1.1\tE\t_\t_\t_\t_\t_\t_\t_\t_", token_line(3, 2)], []),
+    ], ids=["before a malformed line", "before invalid UTF-8",
+            "after a malformed line", "range and empty-node lines"])
+    def test_first_offending_line_wins(self, block, expected, sizes,
+                                       monkeypatch):
+        # the block starts on line 3, after a good sentence
+        data = "\n".join([token_line(1, 0), ""] + block + [
+            "", token_line(1, 0)]).encode("utf-8", "surrogateescape")
+        errors, _ = self.read(data, sizes, monkeypatch)
+        assert errors == [(line + 3, message) for line, message in expected]
+        if not expected:
+            assert block_clean(data) == [(1, []), (3, [(1, 2), (3, 2)]),
+                                         (1, [])]
+
+
 TAGS = ["PUNCT", "PUNC", "Punc", "PU", "Z", "Z:", "Zx", "Z　", "NULL",
         ",", "...", "«", "…", "、", "x\x1c", "\x85", " ",
         "N", "é", "١", "_", "", "﻿", "ＮＵＬＬ"]
