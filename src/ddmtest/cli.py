@@ -78,18 +78,22 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--input", nargs="+", action="extend", required=True,
                     metavar="PATH", help="treebank file(s), director(ies), "
                     "or - for stdin; may be repeated")
-    an.add_argument("--format", choices=["conllu", "conllx"], default="conllu")
+    an.add_argument("--format", choices=["conllu", "conllx"], default="conllu",
+                    help="both are read alike; sets the default --scheme (ud "
+                         "or generic) and the JSON metadata's format")
     an.add_argument("--collection", default="collection",
                     help="collection name used in the report")
     an.add_argument("--families", metavar="TSV",
                     help="language<TAB>family map; missing languages get "
                          "family 'Unknown'")
-    an.add_argument("--alpha", type=float, default=0.05)
+    an.add_argument("--alpha", type=float, default=0.05,
+                    help="significance level of the Holm tests, in (0, 1)")
     an.add_argument("--levels", default="all",
                     help="all or a comma list of: " +
                          ", ".join(lv.value for lv in LevelSpec))
     an.add_argument("--direction", choices=["both", "above", "below"],
-                    default="both")
+                    default="both", help="tail tested: D above (anti-DDm) or "
+                    "below (DDm) its random-arrangement mean, or both")
     an.add_argument("--noncrossing-diagnostic", action="store_true",
                     help="diagnostic mode: each shape against its crossing-"
                          "free arrangements (paths at D = 5 count as above)")
@@ -101,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "the Holm correction")
     an.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     an.add_argument("--report", choices=["csv", "markdown", "json"],
-                    default="csv")
+                    default="csv", help="csv shows no exclusion counts")
     an.add_argument("--scheme", choices=[s.value for s in Scheme],
                     help="annotation scheme for punctuation/null-node "
                          "detection (default: ud for conllu, generic for "

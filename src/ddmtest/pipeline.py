@@ -551,10 +551,16 @@ def emit_report(report: Report, fmt: str = "csv") -> bytes:
 def load_families(path: str | Path) -> dict[str, str]:
     """Read a language-to-family map: two tab-separated columns, '#' comments.
 
-    A leading UTF-8 byte order mark is ignored."""
+    A leading UTF-8 byte order mark is ignored. A line that is not UTF-8
+    (read as lone surrogates, which ``encode`` refuses) raises ValueError."""
     families: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise ValueError(
+                    f"{path}: line {line_no}: invalid UTF-8") from None
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

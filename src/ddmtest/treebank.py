@@ -62,7 +62,6 @@ class Scheme(Enum):
 
 class ExclusionReason(Enum):
     CYCLE = "cycle"
-    DISCONNECTED = "disconnected"
     MULTIPLE_ROOTS = "multiple_roots"
     EMPTY_AFTER_PREPROCESSING = "empty_after_preprocessing"
     MALFORMED = "malformed"
@@ -101,51 +100,29 @@ class ParseError(FrozenRecord):
         return f"{where}line {self.line_no}: {self.message}"
 
 
-# The default deletion rules by scheme, each on one column's text: a
-# predicate for punctuation on the POS column, and the FORM of a null
-# element under each scheme that has them.
-
 def _generic_punct(pos: str) -> bool:
     return _GENERIC_PUNCT_RE.fullmatch(pos) is not None
 
 
-_DEFAULT_RULES = ({Scheme.UD: "PUNCT".__eq__,
-                   # Prague positional tags put punctuation in class Z
-                   Scheme.PRAGUE: operator.methodcaller("startswith", "Z"),
-                   Scheme.STANFORD: _generic_punct,
-                   Scheme.GENERIC: _generic_punct},
-                  # null elements in the Bengali/Hindi/Telugu HamleDT
-                  # corpora surface as tokens whose form is the literal
-                  # string NULL
-                  dict.fromkeys((Scheme.PRAGUE, Scheme.STANFORD), "NULL"))
+# The deletion rules of each scheme, on column text: a predicate for
+# punctuation on the POS column, and the FORM of a null element (None under
+# a scheme without them). Prague positional tags put punctuation in class
+# Z; the null elements of the Bengali/Hindi/Telugu HamleDT corpora are
+# tokens whose form is the literal string NULL.
+_RULES = {Scheme.UD: ("PUNCT".__eq__, None),
+          Scheme.PRAGUE: (operator.methodcaller("startswith", "Z"), "NULL"),
+          Scheme.STANFORD: (_generic_punct, "NULL"),
+          Scheme.GENERIC: (_generic_punct, None)}
 
 
 class PreprocessConfig(FrozenRecord):
-    """Deletion rules applied before any analysis.
+    """Deletion rules applied before any analysis: those of ``scheme``
+    (``_RULES``). CoNLL-U empty nodes (decimal ids) are always deleted."""
 
-    ``punct_predicate`` / ``empty_node_predicate`` override the per-scheme
-    defaults; both must be pure functions of a single token. CoNLL-U nodes
-    with decimal ids are always recognized as non-word nodes regardless of
-    the predicate.
-    """
+    __slots__ = ("scheme",)
 
-    __slots__ = ("scheme", "punct_predicate", "empty_node_predicate")
-
-    def __init__(self, scheme: Scheme = Scheme.UD,
-                 punct_predicate: Callable[[RawToken], bool] | None = None,
-                 empty_node_predicate: Callable[[RawToken], bool] | None = None):
+    def __init__(self, scheme: Scheme = Scheme.UD):
         object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "punct_predicate", punct_predicate)
-        object.__setattr__(self, "empty_node_predicate", empty_node_predicate)
-
-    def predicates(self) -> tuple[Callable[[RawToken], bool],
-                                  Callable[[RawToken], bool] | None]:
-        """The (punctuation, non-word node) predicates in effect."""
-        punct, null = (rules.get(self.scheme) for rules in _DEFAULT_RULES)
-        return (self.punct_predicate or (lambda token: punct(token.pos)),
-                self.empty_node_predicate or (
-                    None if null is None else
-                    lambda token: token.form == null))
 
 
 def _decoded(lines: Iterable[bytes]) -> Iterator[str | None]:
@@ -204,7 +181,7 @@ def _parse_token(line: str) -> RawToken:
     return RawToken(tid, head, cols[1], cols[3], cols[7])
 
 
-def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
+def parse_treebank(stream, *, treebank_id: str = "",
                    errors: list[ParseError] | None = None) -> Iterator[RawSentence]:
     """Yield one RawSentence per blank-line-separated block.
 
@@ -214,13 +191,9 @@ def parse_treebank(stream, fmt: str = "conllu", treebank_id: str = "",
     including one with a line that is not valid UTF-8, with more than
     ``_MAX_BLOCK_TOKENS`` token lines or whose regular token ids do not
     strictly increase, is recorded in ``errors`` (one entry, naming
-    ``treebank_id`` and the first offending line) and skipped;
-    parsing continues with the next sentence. ``fmt`` (``"conllu"`` or
-    ``"conllx"``) is only checked, since CoNLL-U and CoNLL-X are read
-    alike.
+    ``treebank_id`` and the first offending line) and skipped; parsing
+    continues with the next sentence. CoNLL-U and CoNLL-X are read alike.
     """
-    if fmt not in ("conllu", "conllx"):
-        raise ValueError(f"unknown treebank format {fmt!r}")
     for item in _parse_lines(_iter_lines(stream), treebank_id):
         if type(item) is not ParseError:
             yield item
@@ -307,9 +280,9 @@ def clean_sentence(sentence: RawSentence,
         for i, t in enumerate(tokens, 1):
             by_id.setdefault(t.id, i)
 
-    is_punct, is_null = cfg.predicates()
-    deleted = [t.is_empty_node or (is_null is not None and is_null(t))
-               or is_punct(t) for t in tokens]
+    punct, null = _RULES[cfg.scheme]
+    deleted = [t.is_empty_node or t.form == null or punct(t.pos)
+               for t in tokens]
 
     get = by_id.get
     head = [get(t.head, -1) if t.head else 0 for t in tokens]
@@ -394,8 +367,8 @@ def clean_treebank(stream, cfg: PreprocessConfig = PreprocessConfig(),
     text raises ``TypeError`` (read it with ``parse_treebank`` and
     ``clean_sentence``). Bytes are read a chunk of whole lines at a time,
     split into blocks at runs of empty or ASCII-whitespace lines and
-    checked to be UTF-8, not decoded. Under the scheme's default rules
-    each block is taken apart by columns. A block the column reader cannot
+    checked to be UTF-8, not decoded. Every block is taken apart by
+    columns, under the scheme's rules. A block the column reader cannot
     vouch for, such as one that holds a byte that is not UTF-8, a line
     blank by other whitespace, a comment after its first token line or
     only comments, goes through the line reader by itself, with its real
@@ -422,9 +395,7 @@ def clean_treebank(stream, cfg: PreprocessConfig = PreprocessConfig(),
     if isinstance(chunk, str):      # a str, or a text stream's first read
         raise TypeError("clean_treebank reads bytes; read text with "
                         "parse_treebank and clean_sentence")
-    default_rules = (cfg.punct_predicate is None
-                     and cfg.empty_node_predicate is None)
-    punct, null = (rules.get(cfg.scheme) for rules in _DEFAULT_RULES)
+    punct, null = _RULES[cfg.scheme]
     punct = _Judged(punct).__getitem__      # each POS cell judged once
     if null is not None:
         null = null.encode()
@@ -438,9 +409,8 @@ def clean_treebank(stream, cfg: PreprocessConfig = PreprocessConfig(),
         for i, block in enumerate(parts[0::2]):     # block i is parts[2 * i]
             if not block:               # blank lines open or end the text
                 continue
-            result = None
-            if default_rules and not (escaped and _holds_bad_byte(block)):
-                result = _clean_block(block, punct, null, skip)
+            result = None if escaped and _holds_bad_byte(block) else \
+                _clean_block(block, punct, null, skip)
             if result is None:
                 first += b"".join(parts[done:2 * i]).count(b"\n")
                 done = 2 * i
@@ -495,14 +465,14 @@ UNCHECKED = object()
 def _clean_block(group: bytes, punct: Callable, null: bytes | None,
                  skip_long: bool):
     """``clean_sentence``'s result for the block in ``group``, UTF-8 lines
-    with no ASCII blank line among them, under the default rules ``punct``
-    (on the POS column) and ``null`` (the FORM of a null element). None,
-    for the line reader to read it, unless the opening comment and empty
-    lines are followed by at most ``_MAX_BLOCK_TOKENS`` lines, each of ten
-    columns, the regular ids are 1..k, the other ids are ranges or empty
-    nodes, and each head is one of 0..k, written plainly, but not its own
-    id. With ``skip_long``, ``UNCHECKED`` for a block that keeps more than
-    four words.
+    with no ASCII blank line among them, under the rules ``punct`` (on the
+    POS column) and ``null`` (the FORM of a null element). None, for the
+    line reader to read it, unless the opening comment and empty lines are
+    followed by at most ``_MAX_BLOCK_TOKENS`` lines, each of ten columns,
+    the regular ids are 1..k, the other ids are ranges or empty nodes, and
+    each head is one of 0..k, written plainly, but not its own id. With
+    ``skip_long``, ``UNCHECKED`` for a block that keeps more than four
+    words.
     """
     if not group[:1].isdigit():     # comment or blank lines come first
         group = group[_OPENING_RE.match(group).end():]

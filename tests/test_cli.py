@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -186,6 +187,8 @@ class TestAnalyzeCommand:
          "[Errno 2] No such file or directory: '{tmp}/none.tsv'"),
         (["--families", "{tmp}/fam.tsv"],
          "{tmp}/fam.tsv: line 2: expected 'language<TAB>family'"),
+        (["--families", "{tmp}/latin1.tsv"],
+         "{tmp}/latin1.tsv: line 3: invalid UTF-8"),
         (["--input", "{tmp}/none.conllu"],
          "no such file or directory: {tmp}/none.conllu"),
         # the checks run in this order, and the first error is the only one
@@ -198,6 +201,8 @@ class TestAnalyzeCommand:
         corpus.mkdir()
         write_corpus(corpus, ["Alpha"])
         (tmp_path / "fam.tsv").write_text("Alpha\tX\nBeta\n")
+        (tmp_path / "latin1.tsv").write_bytes(
+            b"Alpha\tX\r\nBeta\tY\rCatal\xe0\tRomance\n")
         argv = ["analyze", "--input", str(corpus)]
         argv += [f.format(tmp=tmp_path) for f in flags]
         assert main(argv) == 1
@@ -211,6 +216,15 @@ class TestAnalyzeCommand:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_every_analyze_option_has_help(self):
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        actions = [a for a in commands.choices["analyze"]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert len(actions) == 14
+        for action in actions:
+            assert action.help and action.help.strip(), action.dest
 
     def test_stdin_input(self, tmp_path, capsysbinary, monkeypatch):
         data = (STAR_AT_END + "\n") * 10

@@ -983,3 +983,12 @@ class TestLoadFamilies:
         path.write_bytes("# language\tfamily\nBengali\tIndo-Aryan\n"
                          .encode("utf-8-sig"))
         assert load_families(path) == {"Bengali": "Indo-Aryan"}
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        # "\r\n" and "\r" end lines 1 and 2; the bad byte is on line 3
+        path = tmp_path / "families.tsv"
+        path.write_bytes(b"\xef\xbb\xbfBengali\tIndo-Aryan\r\n# note\r"
+                         b"Catal\xe0\tRomance\nKorean\tKoreanic\n")
+        with pytest.raises(ValueError) as info:
+            load_families(path)
+        assert str(info.value) == f"{path}: line 3: invalid UTF-8"

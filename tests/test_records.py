@@ -101,10 +101,6 @@ def _counts_post_init(self):
         raise ValueError("g_above + g_below + ties must equal m")
 
 
-def _never(token):
-    return False
-
-
 TOKEN = RawToken(1, 0, "a", "NOUN", "root")
 SUMMARY = LevelSummary(LevelSpec.N3_ALL, Direction.ABOVE, 3, 2, 1, 1)
 RESULT_ARGS = ("Alpha", "Greek", LevelSpec.N4_STAR, Direction.BELOW, 9, 7,
@@ -171,9 +167,8 @@ SPECS = [
     Spec(ParseError, [("line_no", REQUIRED), ("message", REQUIRED),
                       ("source", "")], True,
          [(7, "invalid UTF-8", "a.conllu"), (1, "token ids", "")]),
-    Spec(PreprocessConfig, [("scheme", Scheme.UD), ("punct_predicate", None),
-                            ("empty_node_predicate", None)], True,
-         [(Scheme.PRAGUE, _never, None), (Scheme.UD, None, _never)]),
+    Spec(PreprocessConfig, [("scheme", Scheme.UD)], True,
+         [(Scheme.PRAGUE,), (Scheme.UD,)]),
     Spec(LevelCounts, [("language", REQUIRED), ("level", REQUIRED),
                        ("m", REQUIRED), ("g_above", REQUIRED),
                        ("g_below", REQUIRED), ("ties", REQUIRED),

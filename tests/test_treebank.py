@@ -1,6 +1,5 @@
 import io
 import itertools
-import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -174,9 +173,11 @@ class TestParse:
             parsed.append((list(parse_treebank(data, errors=errors)), errors))
         assert parsed[0] == parsed[1]
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            list(parse_treebank("", fmt="tsv"))
+    def test_only_the_stream_is_positional(self):
+        # a format passed where the format argument once stood is refused,
+        # not taken as the treebank id
+        with pytest.raises(TypeError):
+            parse_treebank(conllu_line(1), "conllx")
 
     @pytest.mark.parametrize("kind", ["file", "str", "bytes"])
     def test_bom_prefixed_input_first_block_parses(self, kind, tmp_path):
@@ -233,7 +234,7 @@ class TestParse:
 
     def test_conllx_uses_coarse_pos_column(self):
         line = "1\tform\tlemma\tZ:\tZZ\t_\t0\tdep\t_\t_"
-        (sent,) = parse_treebank(line, fmt="conllx")
+        (sent,) = parse_treebank(line)
         assert sent.tokens[0].pos == "Z:"
 
     def test_realistic_mixed_block(self):
@@ -325,25 +326,6 @@ class TestPreprocess:
         for tag in (",", ".", "PUNCT", "Punc"):
             s = sentence(tok(1, 0), tok(2, 1, pos=tag))
             assert preprocess(s, cfg) == LinearizedTree(1, [])
-
-    def test_custom_punct_predicate(self):
-        cfg = PreprocessConfig(punct_predicate=lambda t: t.deprel == "punct")
-        s = sentence(tok(1, 0), tok(2, 1, deprel="punct"), tok(3, 1))
-        assert preprocess(s, cfg) == LinearizedTree(2, [(1, 2)])
-
-    def test_custom_predicates_are_read_for_truth(self):
-        """A custom predicate may give any value: a match object deletes
-        its token as True does, and None keeps it as False does."""
-        s = sentence(tok(1, 0), tok(2, 1, pos="Z:"), tok(3, 2, form="NULL"),
-                     tok(4, 3))
-        by_match = PreprocessConfig(
-            punct_predicate=lambda t: re.match("Z", t.pos),
-            empty_node_predicate=lambda t: re.fullmatch("NULL", t.form))
-        by_bool = PreprocessConfig(
-            punct_predicate=lambda t: t.pos.startswith("Z"),
-            empty_node_predicate=lambda t: t.form == "NULL")
-        assert clean_sentence(s, by_match) == (2, [(2, 1)])
-        assert clean_sentence(s, by_bool) == (2, [(2, 1)])
 
     def test_direction_is_discarded(self):
         # reversing every dependency yields the same undirected tree
@@ -720,7 +702,22 @@ def noisy_inputs(draw, blocks=noisy_blocks()):
 chunk_sizes = st.tuples(st.integers(1, 80), st.integers(1, 400))
 
 
+# one block for each reason a sentence is excluded: every reason is given
+EXCLUSION_WITNESSES = {
+    ExclusionReason.CYCLE: [token_line(1, 2), token_line(2, 1)],
+    ExclusionReason.MULTIPLE_ROOTS: [token_line(1, 0), token_line(2, 0)],
+    ExclusionReason.EMPTY_AFTER_PREPROCESSING: [token_line(1, 0, pos="PUNCT")],
+    ExclusionReason.MALFORMED: [token_line(1, 0), token_line(2, 9)],
+}
+
+
 class TestCleanTreebank:
+    def test_each_exclusion_reason_has_a_witness(self):
+        assert set(EXCLUSION_WITNESSES) == set(ExclusionReason)
+        for reason, lines in EXCLUSION_WITNESSES.items():
+            data = "\n".join(lines).encode()
+            assert block_clean(data) == reference_clean(data) == [reason]
+
     @given(noisy_inputs(), st.sampled_from(list(Scheme)), chunk_sizes,
            st.sampled_from(INPUT_KINDS))
     @settings(max_examples=400, deadline=None)
@@ -985,13 +982,6 @@ class TestCleanTreebank:
         else:
             assert grows > 1 << 20      # the check sees a reader without it
 
-    def test_custom_rules_read_by_line(self, by_line):
-        text = (token_line(1, 0) + "\n" + token_line(2, 1, pos="P") + "\n\n"
-                + token_line(1, 0) + "\n")
-        cfg = PreprocessConfig(punct_predicate=lambda t: t.pos == "P")
-        assert block_clean(text.encode(), cfg) == [(1, []), (1, [])]
-        assert by_line == [1, 4]
-
     @pytest.mark.parametrize("text", [token_line(1, 0), "",
                                       io.StringIO(token_line(1, 0))],
                              ids=["str", "empty str", "text stream"])
@@ -1199,8 +1189,7 @@ class TestBytesReader:
         others = [chr(code) for code in range(128, sys.maxunicode + 1)
                   if chr(code).isspace()]
         assert len(others) > 15
-        punct, null = (rules.get(Scheme.UD)
-                       for rules in treebank._DEFAULT_RULES)
+        punct, null = treebank._RULES[Scheme.UD]
         punct = treebank._Judged(punct).__getitem__
         for c in others:
             for line in (c, c * 2):
@@ -1222,7 +1211,7 @@ class TestBytesReader:
         and never keeps."""
         long_tag = (tag or "!") * (treebank._MEMO_CELL_BYTES + 1)
         for scheme in Scheme:
-            rule = treebank._DEFAULT_RULES[0][scheme]
+            rule = treebank._RULES[scheme][0]
             judged = treebank._Judged(rule)
             for _ in range(2):
                 assert judged[tag.encode()] is rule(tag), scheme
