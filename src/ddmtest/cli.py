@@ -47,12 +47,13 @@ def infer_language(path: Path) -> str:
 
     A parent directory named like UD_Japanese-GSD wins (underscores become
     spaces); otherwise the file stem up to the first '-' is used, so
-    Japanese-train.conllu and Japanese.conllu both map to 'Japanese'.
+    Japanese-train.conllu and Japanese.conllu both map to 'Japanese'. A stem
+    that starts with '-' is used whole, so no language name is empty.
     """
     m = _UD_DIR_RE.match(path.parent.name)
     if m:
         return m.group(1).replace("_", " ")
-    return path.stem.split("-")[0]
+    return path.stem.split("-")[0] or path.stem
 
 
 def _parse_levels(value: str) -> list[LevelSpec]:

@@ -552,8 +552,10 @@ def load_families(path: str | Path) -> dict[str, str]:
     """Read a language-to-family map: two tab-separated columns, '#' comments.
 
     A leading UTF-8 byte order mark is ignored. A line that is not UTF-8
-    (read as lone surrogates, which ``encode`` refuses) raises ValueError."""
+    (read as lone surrogates, which ``encode`` refuses), or that maps a
+    language already mapped to another family, raises ValueError."""
     families: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
@@ -568,5 +570,11 @@ def load_families(path: str | Path) -> dict[str, str]:
             if len(parts) != 2:
                 raise ValueError(
                     f"{path}: line {line_no}: expected 'language<TAB>family'")
-            families[parts[0]] = parts[1]
+            language, family = parts
+            known = families.setdefault(language, family)
+            if known != family:
+                raise ValueError(
+                    f"{path}: line {line_no}: {language!r} is already in "
+                    f"family {known!r} (line {first_lines[language]})")
+            first_lines.setdefault(language, line_no)
     return families

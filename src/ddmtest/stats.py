@@ -17,7 +17,7 @@ from ._record import FrozenRecord
 _LOG_STOP = math.log(1e-18)  # geometric remainder below this of the sum: stop
 _EXACT_COMB_LIMIT = 1024  # up to here, log C(m,f) comes from the exact integer
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a double into halves
-# below this, an integer times a half of a split double is an exact double
+# an integer below this times a half of a split double is exact
 _EXACT_PIECE_LIMIT = 1 << 26
 
 
@@ -58,14 +58,13 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     remainder is bounded by a geometric series and the sum stops when that
     bound is negligible, so large m stays cheap without losing accuracy.
     Each term is log C(m, f) + f log p + (m - f) log(1 - p), correctly
-    rounded by ``math.fsum`` from exact parts: log p and log(1 - p) are each
-    split into two 26-bit halves, and below m = 2**26 an integer times a
-    half is exact, so the four products are summed as they are; from
-    m = 2**26 on, each product is carried as a Dekker pair (the rounded
-    product and its exact error) instead. Both forms hand ``fsum`` the same
-    real sum. Up to m = 1024, log C(m, f) is the log of the exact integer,
-    updated term by term; above, it comes from ``math.lgamma``. The loop
-    carries f and m - f as floats, which stay exact integers below 2**53.
+    rounded by ``math.fsum`` from exact products: log p and log(1 - p) are
+    each split into two 26-bit halves, and an integer below 2**26 times a
+    half is exact, so below m = 2**26 the four products are summed as they
+    are; from there on, f and m - f are split at 2**26 too. Up to m = 1024,
+    log C(m, f) is the log of the exact integer, updated term by term;
+    above, it comes from ``math.lgamma``. The loop carries f and m - f as
+    floats, which stay exact integers below 2**53.
     """
     if g <= 0:
         return 0.0
@@ -87,26 +86,24 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     lq_lo = lq - lq_hi
     log, log1p, exp, fsum, lgamma = (math.log, math.log1p, math.exp,
                                      math.fsum, math.lgamma)
-    # The loop takes the term of f = g before it starts, then for each f
-    # tests whether to stop after f, and adds the term of f + 1. Past the
+    # The loop starts one step before f = g with an empty sum; at each f it
+    # tests whether to stop after f, then adds the term of f + 1. Past the
     # mode, the terms after f fall at least as fast as a geometric series
     # of ratio r, so they sum to less than exp(lt) * r / (1 - r): the loop
-    # stops once that is below exp(cut), 1e-18 of the sum so far. Where
-    # 1/2 <= r < 1, 1 - r is exact and the log is >= 0, so while lt >= cut
-    # the test is false and its log is not taken.
-    a, b = float(g), float(m - g)     # f and m - f
+    # stops once that is below exp(cut), 1e-18 of the sum so far. At the
+    # first step the cut is -inf, so the test cannot fire, and the first
+    # add leaves the term as it is. Where 1/2 <= r < 1, 1 - r is exact and
+    # the log is >= 0, so while lt >= cut the test is false and its log is
+    # not taken.
+    a, b = float(g - 1), float(m - g + 1)     # f and m - f
     exact = m <= _EXACT_COMB_LIMIT
     pieces = m < _EXACT_PIECE_LIMIT
     if exact:
-        comb = math.comb(m, g)
-        lc = log(comb)
+        comb = math.comb(m, g - 1)
     else:
         lgamma_m = lgamma(m + 1)
-        lc = lgamma_m - lgamma(a + 1.0) - lgamma(b + 1.0)
-    acc = lt = (fsum((lc, a * lp_hi, a * lp_lo, b * lq_hi, b * lq_lo))
-                if pieces else _dekker_sum(lc, a, b, lp, lp_hi, lp_lo,
-                                           lq, lq_hi, lq_lo))
-    for f in range(g, m):
+    acc = lt = -math.inf
+    for f in range(g - 1, m):
         if a >= mode:
             r = b / (a + 1.0) * ratio
             if r < 1.0:
@@ -121,8 +118,7 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
         else:
             lc = lgamma_m - lgamma(a + 1.0) - lgamma(b + 1.0)
         lt = (fsum((lc, a * lp_hi, a * lp_lo, b * lq_hi, b * lq_lo))
-              if pieces else _dekker_sum(lc, a, b, lp, lp_hi, lp_lo,
-                                         lq, lq_hi, lq_lo))
+              if pieces else _split_sum(lc, a, b, lp_hi, lp_lo, lq_hi, lq_lo))
         if acc < lt:
             acc = lt + log1p(exp(acc - lt))
         else:
@@ -130,23 +126,17 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     return min(acc, 0.0)
 
 
-def _dekker_sum(lc: float, a: float, b: float, lp: float, lp_hi: float,
-                lp_lo: float, lq: float, lq_hi: float, lq_lo: float) -> float:
-    """fsum of lc, a * lp and b * lq, each product carried as a Dekker pair:
-    the rounded product and its exact error, from 26-bit halves."""
-    t1 = a * lp
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    e1 = (((a_hi * lp_hi - t1) + a_hi * lp_lo + a_lo * lp_hi)
-          + a_lo * lp_lo)
-    t2 = b * lq
-    c = _SPLIT * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    e2 = (((b_hi * lq_hi - t2) + b_hi * lq_lo + b_lo * lq_hi)
-          + b_lo * lq_lo)
-    return math.fsum((lc, t1, e1, t2, e2))
+def _split_sum(lc: float, a: float, b: float, lp_hi: float, lp_lo: float,
+               lq_hi: float, lq_lo: float) -> float:
+    """fsum of lc, a * (lp_hi + lp_lo) and b * (lq_hi + lq_lo) for counts
+    below 2**53, split at 2**26 into pieces whose products are exact."""
+    a_lo = a % _EXACT_PIECE_LIMIT
+    a_hi = a - a_lo
+    b_lo = b % _EXACT_PIECE_LIMIT
+    b_hi = b - b_lo
+    return math.fsum((lc, a_hi * lp_hi, a_hi * lp_lo, a_lo * lp_hi,
+                      a_lo * lp_lo, b_hi * lq_hi, b_hi * lq_lo, b_lo * lq_hi,
+                      b_lo * lq_lo))
 
 
 def binomial_upper_tail(test: BinomialTestInput) -> float:

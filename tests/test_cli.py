@@ -78,6 +78,10 @@ class TestInferLanguage:
         assert infer_language(Path("Tagalog.conllu")) == "Tagalog"
         assert infer_language(Path("Tagalog-train.conllu")) == "Tagalog"
 
+    def test_stem_starting_with_a_dash_is_used_whole(self):
+        assert infer_language(Path("-train.conllu")) == "-train"
+        assert infer_language(Path("data/-a-b.conllu")) == "-a-b"
+
 
 class TestAnalyzeCommand:
     def test_end_to_end_csv(self, tmp_path, capsysbinary):
@@ -194,6 +198,10 @@ class TestAnalyzeCommand:
         # the checks run in this order, and the first error is the only one
         (["--alpha", "0", "--families", "{tmp}/none.tsv"],
          "--alpha must be in (0, 1)"),
+        # a language mapped to a second family
+        (["--families", "{tmp}/remap.tsv"],
+         "{tmp}/remap.tsv: line 3: 'Alpha' is already in family 'X' "
+         "(line 1)"),
     ])
     def test_argument_and_input_errors(self, tmp_path, capsysbinary, flags,
                                        message):
@@ -203,6 +211,7 @@ class TestAnalyzeCommand:
         (tmp_path / "fam.tsv").write_text("Alpha\tX\nBeta\n")
         (tmp_path / "latin1.tsv").write_bytes(
             b"Alpha\tX\r\nBeta\tY\rCatal\xe0\tRomance\n")
+        (tmp_path / "remap.tsv").write_text("Alpha\tX\nBeta\tY\nAlpha\tZ\n")
         argv = ["analyze", "--input", str(corpus)]
         argv += [f.format(tmp=tmp_path) for f in flags]
         assert main(argv) == 1

@@ -2,8 +2,9 @@
 ``inmem_analyze``, in one process and on the fork pool, and the CSV report
 of ``ddmtest analyze`` on ``ud_mixed``, against ``perfbench/digests.json``;
 and the JSON report of ``ddmtest analyze`` on ``dirty_conllx``, in one
-process and on the fork pool; and the standard error of both commands,
-against literals. The two collections come from the session
+process and on the fork pool, and in two spawned processes with different
+hash seeds; and the standard error of both commands, against literals.
+The two collections come from the session
 fixtures in ``conftest.py``. ``perfbench/digests.json`` and
 ``perfbench/corpus.py`` are read, never written.
 
@@ -14,6 +15,8 @@ follow-ups", "Stale digests")."""
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +25,7 @@ import pytest
 from ddmtest import _pool, cli, pipeline, trees
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 sys.path.insert(0, str(PERFBENCH))
 import corpus  # noqa: E402
 
@@ -42,6 +46,15 @@ STDERR = {
 
 def digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
+
+
+def dirty_conllx_argv(data: Path) -> list[str]:
+    """The benchmark's ``dirty_conllx`` command: CoNLL-X in the Prague
+    scheme, a per-family JSON report without the undersampled languages."""
+    return ["analyze", "--input", str(data / "hamledt"),
+            "--format", "conllx", "--scheme", "prague", "--report", "json",
+            "--per-family", "--exclude-undersampled",
+            "--families", str(data / "families.tsv")]
 
 
 def stderr_digest(err: bytes, collection: Path) -> str:
@@ -76,14 +89,24 @@ def test_ud_mixed(ud_mixed, capsysbinary):
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pooled"])
 def test_dirty_conllx(dirty_conllx, cpus, monkeypatch, capsysbinary):
-    """The benchmark's ``dirty_conllx`` command: CoNLL-X in the Prague
-    scheme, a per-family JSON report without the undersampled languages."""
     data = dirty_conllx[0]
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
-    cli.main(["analyze", "--input", str(data / "hamledt"),
-              "--format", "conllx", "--scheme", "prague", "--report", "json",
-              "--per-family", "--exclude-undersampled",
-              "--families", str(data / "families.tsv")])
+    cli.main(dirty_conllx_argv(data))
     captured = capsysbinary.readouterr()
     assert digest(captured.out) == DIRTY_CONLLX
     assert stderr_digest(captured.err, data) == STDERR["dirty_conllx"]
+
+
+def test_dirty_conllx_bytes_do_not_depend_on_the_hash_seed(dirty_conllx):
+    """A process has one hash seed, so the in-process tests see only one
+    order of every set and dict of strings; two spawned commands see two."""
+    data = dirty_conllx[0]
+    path = os.environ.get("PYTHONPATH")
+    runs = [subprocess.run(
+        [sys.executable, "-m", "ddmtest.cli", *dirty_conllx_argv(data)],
+        capture_output=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": seed,
+             "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), path)))})
+        for seed in ("0", "1")]
+    assert [digest(run.stdout) for run in runs] == [DIRTY_CONLLX] * 2
+    assert runs[0].stderr == runs[1].stderr

@@ -970,6 +970,16 @@ class TestLoadFamilies:
         with pytest.raises(ValueError, match="line 1"):
             load_families(path)
 
+    def test_remapping_a_language_names_both_lines(self, tmp_path):
+        path = tmp_path / "families.tsv"
+        path.write_text("Japanese\tJaponic\n# note\nJapanese\tJaponic\n"
+                        "Korean\tKoreanic\nJapanese\tAltaic\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_families(path)
+        assert str(info.value) == (f"{path}: line 5: 'Japanese' is already "
+                                   "in family 'Japonic' (line 1)")
+
     def test_byte_order_mark_is_not_part_of_the_first_language(self,
                                                                tmp_path):
         path = tmp_path / "families.tsv"

@@ -1,6 +1,7 @@
 """Checks on the source of ``ddmtest`` itself, read with ``ast``: no module
-imports a name it never uses, and no private module-level name is left
-that no module of the package refers to."""
+imports a name it never uses, no private module-level name is left that
+no module of the package refers to, and no function or lambda takes a
+parameter that its body never reads."""
 
 import ast
 from pathlib import Path
@@ -67,6 +68,31 @@ def referenced_anywhere() -> set[str]:
     return names
 
 
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """``name:line: parameter`` for each parameter of a function or lambda
+    that its body never reads. Dunder methods are left out: their protocol
+    fixes their parameters."""
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Lambda):
+            name, body = "<lambda>", [node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            name, body = node.name, node.body
+        else:
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}:{node.lineno}: {p}" for p in params
+                   if p not in read]
+    return unread
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_import_is_used(module):
     tree = TREES[module]
@@ -79,3 +105,8 @@ def test_every_private_name_is_referenced(module):
     referenced = referenced_anywhere()
     assert [n for n in private_definitions(TREES[module])
             if n not in referenced] == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_parameter_is_read(module):
+    assert unread_parameters(TREES[module]) == []

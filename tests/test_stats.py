@@ -16,7 +16,11 @@ from ddmtest import (
     holm_adjust,
     min_sample_size,
 )
-from ddmtest.stats import holm_adjust_log10, log_binomial_upper_tail
+from ddmtest.stats import (
+    _split_sum,
+    holm_adjust_log10,
+    log_binomial_upper_tail,
+)
 
 PAPER_PS = [Fraction(1, 4), Fraction(5, 16), Fraction(1, 3), Fraction(3, 8),
             Fraction(1, 2), Fraction(2, 3)]
@@ -307,7 +311,7 @@ class TestTailMatchesReference:
                                    1 << 40])
     def test_exact_piece_limit(self, m):
         # below m = 2**26 the tail sums the products of f and the halves of
-        # log p as they are; from there on, as Dekker pairs
+        # log p as they are; from there on, with f split at 2**26 as well
         for p in self.grid_ps():
             for g in (m - 2, m - 1, m):
                 assert_bit_identical(g, m, p)
@@ -338,6 +342,43 @@ class TestTailMatchesReference:
         den = data.draw(st.integers(2, 10 ** 9))
         p = Fraction(data.draw(st.integers(1, den - 1)), den)
         assert_bit_identical(data.draw(st.integers(0, m + 1)), m, p)
+
+
+@st.composite
+def split_sum_arguments(draw):
+    """(a, b, lc, num, den): integer counts below 2**53, at least one of
+    them at or above 2**26, a log term >= 0 and p = num / den in (0, 1)."""
+    counts = st.integers(0, (1 << 53) - 1)
+    big = st.integers(1 << 26, (1 << 53) - 1)
+    a, b = draw(st.tuples(big, counts) | st.tuples(counts, big))
+    lc = draw(st.floats(0.0, 1e16))
+    den = draw(st.integers(2, 10 ** 15))
+    num = draw(st.integers(1, min(den - 1, 50))
+               | st.integers(max(1, den - 50), den - 1)
+               | st.integers(1, den - 1))
+    return a, b, lc, num, den
+
+
+class TestSplitSum:
+    @given(split_sum_arguments())
+    @example((1 << 26, 0, 0.0, 1, 3))
+    @example(((1 << 53) - 1, (1 << 53) - 1, 1e16, 1, 10 ** 15))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_dekker_pairs(self, args):
+        # counts split at 2**26 give exact products, so fsum sees the same
+        # real sum as from each product and its Dekker rounding error
+        a, b, lc, num, den = args
+        a, b = float(a), float(b)
+        lp = math.log(num / den)
+        lq = math.log((den - num) / den)
+        halves = []
+        for x in (lp, lq):  # 26-bit halves, as the tail splits them
+            c = 134217729.0 * x
+            hi = c - (c - x)
+            halves += [hi, x - hi]
+        got = _split_sum(lc, a, b, *halves)
+        want = math.fsum((lc, *_two_prod(a, lp), *_two_prod(b, lq)))
+        assert got.hex() == want.hex(), args
 
 
 def direct_stepdown_reject(raw, alpha):
