@@ -1,5 +1,5 @@
 """A bare fork pool, shared by the fold of ``ddmtest analyze`` and the test
-stage of ``pipeline.analyze_tallies``.
+stage of ``pipeline.analyze_collection``.
 
 ``map`` calls a function on every item, one worker per share of the items
 by weight: this process runs one share and a forked child each other one.

@@ -8,7 +8,7 @@ on the fork pool (``_pool.map``), one worker per usable CPU up to one per
 file and at most eight, and merged in file order, so the report and
 stderr do not depend on the worker count. With one file or one usable
 CPU, in a process that runs other threads, or where the platform cannot
-fork, nothing is forked. The test stage (``pipeline.analyze_tallies``)
+fork, nothing is forked. The test stage (``pipeline.analyze_collection``)
 runs on the same pool once its tests are large enough to repay a fork.
 Stderr shows at most 20 parse errors per input, then a count of the rest.
 A CSV report shows no exclusion counts, so its run does not check the
@@ -205,6 +205,8 @@ def _run_analyze(args) -> int:
     try:
         if not 0 < args.alpha < 1:
             raise ValueError("--alpha must be in (0, 1)")
+        if args.language == "":
+            raise ValueError("--language must not be empty")
         levels = _parse_levels(args.levels)
         families = (pipeline.load_families(args.families) if args.families
                     else {})
@@ -214,7 +216,7 @@ def _run_analyze(args) -> int:
         return 1
 
     try:
-        report = pipeline.analyze_tallies(
+        report = pipeline.analyze_collection(
             tallies, families=families, alpha=args.alpha, levels=levels,
             directions=directions, collection=args.collection,
             per_family=args.per_family,

@@ -25,8 +25,8 @@ from .trees import LinearizedTree
 
 _LN10 = math.log(10.0)
 UNKNOWN_FAMILY = "Unknown"
-# the total m (over languages and levels) from which analyze_tallies runs the
-# tests on the fork pool; README "Performance" gives the measured crossover
+# the total m (over languages and levels) from which analyze_collection runs
+# the tests on the fork pool; README "Performance" gives the measured crossover
 FORK_MIN_M = 100_000
 
 
@@ -278,40 +278,21 @@ def _neglog10(log10_value: float) -> float:
     return round(-log10_value, 1) + 0.0
 
 
-def analyze_collection(treebanks: Mapping[str, Sequence[LinearizedTree]],
-                       families: Mapping[str, str] | None = None,
-                       alpha: float = 0.05,
-                       levels: Sequence[LevelSpec] | None = None,
-                       directions: Sequence[Direction] | None = None,
-                       collection: str = "collection",
-                       per_family: bool = False,
-                       noncrossing: bool = False,
-                       include_undersampled: bool = True,
-                       exclusions: Mapping[str, int] | None = None,
-                       metadata: Mapping[str, object] | None = None) -> Report:
-    """``analyze_tallies`` over each language's trees, folded once; like
-    it, this forks worker processes for a large enough test stage."""
-    return analyze_tallies(
-        {lang: fold_trees(trees) for lang, trees in treebanks.items()},
-        families=families, alpha=alpha, levels=levels, directions=directions,
-        collection=collection, per_family=per_family, noncrossing=noncrossing,
-        include_undersampled=include_undersampled, exclusions=exclusions,
-        metadata=metadata)
-
-
-def analyze_tallies(tallies: Mapping[str, LanguageTally],
-                    families: Mapping[str, str] | None = None,
-                    alpha: float = 0.05,
-                    levels: Sequence[LevelSpec] | None = None,
-                    directions: Sequence[Direction] | None = None,
-                    collection: str = "collection",
-                    per_family: bool = False,
-                    noncrossing: bool = False,
-                    include_undersampled: bool = True,
-                    exclusions: Mapping[str, int] | None = None,
-                    metadata: Mapping[str, object] | None = None) -> Report:
-    """Run every requested (level, direction) over each language's tally,
-    each once, in the order of first mention.
+def analyze_collection(
+        treebanks: Mapping[str, Iterable[LinearizedTree] | LanguageTally],
+        families: Mapping[str, str] | None = None,
+        alpha: float = 0.05,
+        levels: Sequence[LevelSpec] | None = None,
+        directions: Sequence[Direction] | None = None,
+        collection: str = "collection",
+        per_family: bool = False,
+        noncrossing: bool = False,
+        include_undersampled: bool = True,
+        exclusions: Mapping[str, int] | None = None,
+        metadata: Mapping[str, object] | None = None) -> Report:
+    """Run every requested (level, direction) over each language, each
+    once, in the order of first mention. A language is given as its trees,
+    folded once by ``fold_trees``, or as its ``LanguageTally``.
 
     The Holm correction is applied globally across all languages tested at a
     (level, direction), or within each family when ``per_family`` is set.
@@ -329,6 +310,8 @@ def analyze_tallies(tallies: Mapping[str, LanguageTally],
     levels = list(dict.fromkeys(levels or LevelSpec))
     directions = list(dict.fromkeys(directions or Direction))
     families = dict(families) if families else {}
+    tallies = {lang: value if isinstance(value, LanguageTally)
+               else fold_trees(value) for lang, value in treebanks.items()}
     languages = sorted(tallies)
     missing = [lang for lang in languages if lang not in families]
     if missing and families:

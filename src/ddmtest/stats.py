@@ -71,13 +71,18 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     if g > m:
         return -math.inf
     p = Fraction(p)
-    # float() of p, 1 - p and p / (1 - p): each is num / den in lowest terms
+    # float() of p, 1 - p and p / (1 - p): each is num / den in lowest terms;
+    # where p or 1 - p is below the least normal float, so has lost bits or
+    # is 0, its log comes from the integers
     num, den = p.numerator, p.denominator
-    fp = num / den
-    lp = math.log(fp)
-    lq = math.log((den - num) / den)
-    ratio = num / (den - num)
+    fp, fq, tiny = num / den, (den - num) / den, 2.0 ** -1022
+    lp = math.log(fp) if fp >= tiny else math.log(num) - math.log(den)
+    lq = math.log(fq) if fq >= tiny else math.log(den - num) - math.log(den)
     mode = (m + 1) * fp
+    # the odds p / (1 - p), which the loop reads only past the mode, so
+    # only where the mode is below m; elsewhere they may overflow a float.
+    # Odds below 2**-1000 are read as 2**-1000 (see the loop).
+    ratio = max(num / (den - num), 2.0 ** -1000) if mode < m else math.inf
     c = _SPLIT * lp
     lp_hi = c - (c - lp)
     lp_lo = lp - lp_hi
@@ -94,7 +99,10 @@ def log_binomial_upper_tail(g: int, m: int, p: Fraction) -> float:
     # first step the cut is -inf, so the test cannot fire, and the first
     # add leaves the term as it is. Where 1/2 <= r < 1, 1 - r is exact and
     # the log is >= 0, so while lt >= cut the test is false and its log is
-    # not taken.
+    # not taken. Odds of 2**-1000 or less make r = b / (a + 1) * odds at
+    # most 2**-947, as b < 2**53, whose log fires the test at every step
+    # past the mode but the first, as lt <= acc; reading them as 2**-1000
+    # keeps that, and keeps r above 0, so its log is finite.
     a, b = float(g - 1), float(m - g + 1)     # f and m - f
     exact = m <= _EXACT_COMB_LIMIT
     pieces = m < _EXACT_PIECE_LIMIT

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ddmtest
-from ddmtest import _pool, cli
+from ddmtest import _pool, cli, pipeline
 from ddmtest.cli import infer_language, main
 from ddmtest.treebank import ParseError, PreprocessConfig
 
@@ -202,6 +202,8 @@ class TestAnalyzeCommand:
         (["--families", "{tmp}/remap.tsv"],
          "{tmp}/remap.tsv: line 3: 'Alpha' is already in family 'X' "
          "(line 1)"),
+        # no language name may be empty
+        (["--language", ""], "--language must not be empty"),
     ])
     def test_argument_and_input_errors(self, tmp_path, capsysbinary, flags,
                                        message):
@@ -219,6 +221,25 @@ class TestAnalyzeCommand:
         assert captured.out == b""
         assert captured.err.decode() == (
             f"ddmtest: error: {message.format(tmp=tmp_path)}\n")
+
+    def test_analysis_runs_through_analyze_collection(self, tmp_path,
+                                                      capsysbinary,
+                                                      monkeypatch):
+        write_corpus(tmp_path, ["Alpha", "Beta"])
+        real = pipeline.analyze_collection
+        calls = []
+
+        def spy(treebanks, **options):
+            calls.append(dict(treebanks))
+            return real(treebanks, **options)
+
+        monkeypatch.setattr(pipeline, "analyze_collection", spy)
+        assert main(["analyze", "--input", str(tmp_path)]) == 0
+        assert capsysbinary.readouterr().out.startswith(b"collection,")
+        (treebanks,) = calls
+        assert sorted(treebanks) == ["Alpha", "Beta"]
+        assert all(type(value) is pipeline.LanguageTally
+                   for value in treebanks.values())
 
     def test_missing_required_args_exit_1(self):
         assert main(["analyze"]) == 1

@@ -41,7 +41,7 @@ import ddmtest
 from ddmtest import _pool, pipeline, stats
 from ddmtest.nullmodels import EnsembleSpec, null_probability
 from ddmtest.pipeline import LanguageTally, _csv_quote, _neglog10, \
-    analyze_tallies, fold_trees, success_probability
+    fold_trees, success_probability
 
 N3_HIGH = LinearizedTree(3, [(1, 2), (1, 3)])     # D = 3
 N3_LOW = path_tree(3)                             # D = 2
@@ -480,6 +480,24 @@ class TestAnalyzeCollection:
             for s in report.summaries:
                 assert s.f_holm <= s.f <= s.l <= s.l0
 
+    def test_a_tally_stands_for_its_trees(self):
+        """Each language may be given as its trees or as their tally, in
+        any mix, with the same report."""
+        for seed in range(5):
+            collection = random_collection(seed)
+            folded = {lang: fold_trees(trees)
+                      for lang, trees in collection.items()}
+            assert analyze_collection(folded) == analyze_collection(collection)
+        mixed = {lang: fold_trees(trees) if i % 2 else trees
+                 for i, (lang, trees) in enumerate(collection.items())}
+        assert analyze_collection(mixed) == analyze_collection(collection)
+        options = dict(exclusions={"cycle": 2}, metadata={"format": "conllu"},
+                       families={"lang0": "F1"}, per_family=True)
+        report = analyze_collection(folded, **options)
+        assert report == analyze_collection(collection, **options)
+        assert (report.exclusions, report.metadata) == ({"cycle": 2},
+                                                        {"format": "conllu"})
+
     def test_report_results_match_freestanding_run_tests(self):
         collection = random_collection(11)
         report = analyze_collection(collection, levels=[LevelSpec.N4_ALL_REAL],
@@ -639,7 +657,7 @@ class TestPooledTests:
                 mp.setattr(pipeline, "FORK_MIN_M", 0)
                 mp.setattr(_pool, "_usable_cpus", lambda: cpus)
                 forks = spy_forks(mp)
-                return analyze_tallies(
+                return analyze_collection(
                     tallies, families=families, levels=levels,
                     directions=directions, per_family=per_family,
                     include_undersampled=include_undersampled,
@@ -685,9 +703,9 @@ class TestPooledTests:
                 return out
 
             threshold = pipeline.FORK_MIN_M
-            pipeline.analyze_tallies(tallies(threshold - 1))
+            pipeline.analyze_collection(tallies(threshold - 1))
             print(len(forks), "pickle" in set(sys.modules) - before)
-            pipeline.analyze_tallies(tallies(threshold))
+            pipeline.analyze_collection(tallies(threshold))
             print(len(forks), "pickle" in set(sys.modules) - before)
             """
         result = subprocess.run([sys.executable, "-c", code], check=True,
@@ -721,7 +739,7 @@ class TestPooledTests:
         ("os._exit(3)", "exit status 3")])
     def test_worker_that_dies_is_an_error(self, tmp_path, death, how):
         """A test worker that dies before sending its results raises an
-        error that names it, from ``analyze_tallies`` and as ``ddmtest
+        error that names it, from ``analyze_collection`` and as ``ddmtest
         analyze``'s error line, and leaves no child."""
         for name, copies in (("Big", 40), ("Mid", 20), ("Low", 10)):
             (tmp_path / f"{name}.conllu").write_text(
@@ -748,7 +766,7 @@ class TestPooledTests:
             for name, m in (("Big", 40), ("Mid", 20), ("Low", 10)):
                 tallies[name] = placed(3, ((1, 2), (1, 3)), m)
             try:
-                pipeline.analyze_tallies(tallies)
+                pipeline.analyze_collection(tallies)
             except ChildProcessError as exc:
                 print(exc)
             code = cli.main(["analyze", "--input", {str(tmp_path)!r}])

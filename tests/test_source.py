@@ -1,9 +1,11 @@
 """Checks on the source of ``ddmtest`` itself, read with ``ast``: no module
 imports a name it never uses, no private module-level name is left that
-no module of the package refers to, and no function or lambda takes a
-parameter that its body never reads."""
+no module of the package refers to, no function or lambda takes a
+parameter that its body never reads, and every name the benchmark's
+tracer wraps is there to be wrapped."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -110,3 +112,51 @@ def test_every_private_name_is_referenced(module):
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_parameter_is_read(module):
     assert unread_parameters(TREES[module]) == []
+
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def traced_targets() -> list[tuple[str, str]]:
+    """(owner, attribute) of each ``wrap`` and ``wrap_iterator`` call in
+    the benchmark's tracer, the owner as written: ``pipeline`` or
+    ``trees.LinearizedTree``."""
+    targets = []
+    for node in ast.walk(ast.parse(TRACING.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("wrap", "wrap_iterator")):
+            owner, attr = node.args[:2]
+            targets.append((ast.unparse(owner), attr.value))
+    return targets
+
+
+def test_every_traced_name_exists():
+    """A name the tracer wraps that is gone is skipped without a word, and
+    its metrics read 0; a class's method must be its own, not inherited."""
+    targets = traced_targets()
+    assert ("pipeline", "analyze_collection") in targets
+    missing = []
+    for owner, attr in targets:
+        module, *path = owner.split(".")
+        obj = importlib.import_module(f"ddmtest.{module}")
+        for name in path:
+            obj = getattr(obj, name)
+        if attr not in vars(obj):
+            missing.append(f"{owner}.{attr}")
+    assert missing == []
+
+
+def test_no_traced_function_is_imported_by_name():
+    """``from .pipeline import run_tests`` would bind the function before
+    the tracer patches its module, and so bypass the patch."""
+    wrapped = {target for target in traced_targets() if "." not in target[0]}
+    bound = []
+    for module, tree in TREES.items():
+        if module == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rsplit(".", 1)[-1]
+                bound += [f"{module}: {source}.{a.name}" for a in node.names
+                          if (source, a.name) in wrapped]
+    assert bound == []

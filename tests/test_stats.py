@@ -344,6 +344,49 @@ class TestTailMatchesReference:
         assert_bit_identical(data.draw(st.integers(0, m + 1)), m, p)
 
 
+def log_exact_tail(g, m, p):
+    """The log of ``binomial_upper_tail_exact``: the log of its numerator
+    minus the log of its denominator, so no float of the tail is taken."""
+    tail = binomial_upper_tail_exact(g, m, p)
+    return math.log(tail.numerator) - math.log(tail.denominator)
+
+
+def assert_near_exact(g, m, p):
+    got = log_binomial_upper_tail(g, m, p)
+    want = log_exact_tail(g, m, p)
+    assert got == pytest.approx(want, rel=1e-12, abs=0 if want else 1e-12)
+    assert binomial_upper_tail(BinomialTestInput(g, m, p)) == math.exp(got)
+
+
+class TestExtremeP:
+    """p so near 0 or 1 that p, 1 - p or the odds p / (1 - p) leave the
+    normal floats: the tail still matches the exact oracle."""
+
+    @pytest.mark.parametrize("g, m, p, want", [
+        # odds so small that r would underflow to 0 after the first term
+        (3, 4, Fraction(1, 2 ** 1074), -2231.934),
+        (4, 4, Fraction(1, 2 ** 1074), -2977.760),
+        # p is 0 as a float
+        (1, 2, Fraction(1, 2 ** 1100), -761.769),
+        # 1 - p is 0 as a float, and the odds overflow
+        (1, 2, 1 - Fraction(1, 2 ** 1100), 0.0),
+        # p and 1 - p subnormal: their floats have lost bits
+        (1, 2, Fraction(3, 2 ** 1075), -743.341),
+        (2, 3, Fraction(3, 2 ** 1075), -1486.971),
+        (2, 2, 1 - Fraction(3, 2 ** 1075), 0.0),
+    ])
+    def test_matches_exact_log(self, g, m, p, want):
+        assert round(log_exact_tail(g, m, p), 3) == want
+        assert_near_exact(g, m, p)
+
+    @given(st.integers(1, 40), st.integers(1, 50), st.integers(1020, 1200),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_tiny_p(self, m, k, e, data):
+        assert_near_exact(data.draw(st.integers(1, m)), m,
+                          Fraction(k, 2 ** e))
+
+
 @st.composite
 def split_sum_arguments(draw):
     """(a, b, lc, num, den): integer counts below 2**53, at least one of
