@@ -12,7 +12,6 @@ from .nullmodels import (
     noncrossing_mixture_probability,
     sample_distance_sums,
     sample_random_arrangement,
-    shape_tail_probability,
 )
 from .pipeline import (
     LevelCounts,
@@ -29,7 +28,6 @@ from .pipeline import (
 from .stats import (
     AdjustedPValues,
     BinomialTestInput,
-    binomial_lower_tail,
     binomial_upper_tail,
     binomial_upper_tail_exact,
     holm_adjust,
@@ -51,11 +49,7 @@ from .trees import (
     EnumerationCapError,
     LinearizedTree,
     TreeShape,
-    classify,
-    count_crossings,
     enumerate_arrangements,
-    min_d_formula,
-    sum_of_distances,
 )
 
 __version__ = "0.1.0"
@@ -82,11 +76,8 @@ __all__ = [
     "TestResult",
     "TreeShape",
     "analyze_collection",
-    "binomial_lower_tail",
     "binomial_upper_tail",
     "binomial_upper_tail_exact",
-    "classify",
-    "count_crossings",
     "emit_report",
     "enumerate_arrangements",
     "expected_d_from_distribution",
@@ -94,7 +85,6 @@ __all__ = [
     "gather_files",
     "holm_adjust",
     "load_families",
-    "min_d_formula",
     "min_sample_size",
     "mixture_probability",
     "noncrossing_mixture_probability",
@@ -103,7 +93,5 @@ __all__ = [
     "run_tests",
     "sample_distance_sums",
     "sample_random_arrangement",
-    "shape_tail_probability",
-    "sum_of_distances",
     "tally_level",
 ]

@@ -18,9 +18,11 @@ from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
 from .trees import DistanceDistribution, LinearizedTree, TreeShape, \
-    _numpy, enumerate_arrangements
+    enumerate_arrangements
 
-# numpy is imported only by the samplers, for the reason given in trees.py
+# numpy (the "sim" extra) is imported, through _numpy, only by the samplers:
+# the analysis and the enumeration run without it, and importing it would
+# double the command line's start-up time.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -130,15 +132,6 @@ def null_probability(weights: tuple[Fraction | int, ...], direction: Direction,
                for w, shape in zip(weights, COUNTED_TREES) if w)
 
 
-def shape_tail_probability(shape: TreeShape, n: int, direction: Direction) -> Fraction:
-    """P(D beyond its random-arrangement mean) for one of the counted trees:
-    the n = 3 path (``TreeShape.BOTH``), or the n = 4 star or path."""
-    if shape not in COUNTED_TREES or COUNTED_TREES[shape].n != n:
-        raise ValueError(
-            f"unsupported combination: shape={shape.value!r}, n={n}")
-    return _tail(shape, direction, False)
-
-
 def mixture_probability(ensemble: EnsembleSpec, direction: Direction) -> Fraction:
     """P(D beyond its mean) for an n = 4 tree drawn from the ensemble."""
     return null_probability(ensemble.weights, direction)
@@ -173,7 +166,7 @@ def sample_distance_sums(tree: LinearizedTree, size: int,
     """
     np = _numpy()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    eu, ev = tree.edge_arrays()
+    edges = np.asarray(tree.edges, np.int64).reshape(-1, 2) - 1
     out = np.empty(size, np.int64)
     done = 0
     base = np.arange(tree.n, dtype=np.int64)
@@ -181,8 +174,18 @@ def sample_distance_sums(tree: LinearizedTree, size: int,
         b = min(_SAMPLE_CHUNK, size - done)
         posmat = rng.permuted(np.tile(base, (b, 1)), axis=1)
         d = np.zeros(b, np.int64)
-        for k in range(len(eu)):
-            d += np.abs(posmat[:, eu[k]] - posmat[:, ev[k]])
+        for u, v in edges:
+            d += np.abs(posmat[:, u] - posmat[:, v])
         out[done:done + b] = d
         done += b
     return out
+
+
+def _numpy():
+    """numpy, or an ImportError that says how to install it."""
+    try:
+        import numpy
+    except ImportError as exc:      # the "sim" extra
+        raise ImportError("sampling needs numpy: "
+                          "pip install 'ddmtest[sim]'") from exc
+    return numpy

@@ -152,15 +152,6 @@ def binomial_upper_tail(test: BinomialTestInput) -> float:
     return math.exp(log_binomial_upper_tail(test.g, test.m, test.p))
 
 
-def binomial_lower_tail(g: int, m: int, p: Fraction) -> float:
-    """P(X <= g); the upper tail of the mirrored binomial."""
-    if g < 0:
-        return 0.0
-    if g >= m:
-        return 1.0
-    return math.exp(log_binomial_upper_tail(m - g, m, 1 - Fraction(p)))
-
-
 def binomial_upper_tail_exact(g: int, m: int, p: Fraction) -> Fraction:
     """Exact rational P(X >= g); the big-integer oracle for the log-space path."""
     if g <= 0:

@@ -10,15 +10,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
-
-# numpy (the "sim" extra) is imported, through _numpy, only by the samplers:
-# the analysis and the enumeration run without it, and importing it would
-# double the command line's start-up time.
-if TYPE_CHECKING:
-    import numpy as np
 
 ENUMERATION_CAP = 10
 
@@ -27,7 +20,6 @@ class TreeShape(Enum):
     STAR = "star"
     LINEAR = "linear"
     BOTH = "both"
-    OTHER = "other"
 
 
 class EnumerationCapError(ValueError):
@@ -49,8 +41,8 @@ class LinearizedTree(FrozenRecord):
     trees on at most five vertices whose endpoints are all plain ints share
     one ``edges`` tuple, so a collection of short sentences holds each
     distinct tree's edges once, not once per sentence. Endpoints of another
-    type (``True``, ``numpy.int64``) compare equal to ints but keep their own
-    tuple, and with it their ``repr``.
+    type (``True``, an ``int64`` array scalar) compare equal to ints but
+    keep their own tuple, and with it their ``repr``.
     """
 
     __slots__ = ("n", "edges")
@@ -87,26 +79,6 @@ class LinearizedTree(FrozenRecord):
             norm = _shared_edges.setdefault(norm, norm)
         object.__setattr__(self, "edges", norm)
 
-    @property
-    def degrees(self) -> list[int]:
-        deg = [0] * (self.n + 1)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg[1:]
-
-    @property
-    def hub_degree(self) -> int:
-        return max(self.degrees) if self.n > 1 else 0
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based endpoint arrays for the sampler."""
-        np = _numpy()
-        if not self.edges:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        arr = np.asarray(self.edges, np.int64) - 1
-        return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
-
 
 class DistanceDistribution(FrozenRecord):
     """Exact counts of the distance sum D over a set of linear arrangements."""
@@ -134,41 +106,6 @@ class DistanceDistribution(FrozenRecord):
     def mass_below(self, threshold: Fraction | int) -> Fraction:
         return Fraction(sum(c for d, c in self.counts.items() if d < threshold),
                         self.total)
-
-    def support_min(self) -> int:
-        return min(self.counts)
-
-
-def classify(tree: LinearizedTree) -> TreeShape:
-    """Classify by maximum degree: path vs star, coinciding for n <= 3."""
-    if tree.n < 2:
-        raise ValueError("shape is defined for n >= 2")
-    if tree.n <= 3:
-        return TreeShape.BOTH
-    hub = tree.hub_degree
-    if hub == tree.n - 1:
-        return TreeShape.STAR
-    if hub == 2:
-        return TreeShape.LINEAR
-    return TreeShape.OTHER
-
-
-def sum_of_distances(tree: LinearizedTree) -> int:
-    """Total edge length of the observed arrangement: sum of |pos(u)-pos(v)|."""
-    return sum(v - u for u, v in tree.edges)
-
-
-def count_crossings(tree: LinearizedTree) -> int:
-    """Number of edge pairs whose position spans strictly interleave."""
-    spans = tree.edges  # already (lo, hi) sorted pairs
-    crossings = 0
-    for i in range(len(spans)):
-        a, b = spans[i]
-        for j in range(i + 1, len(spans)):
-            c, d = spans[j]
-            if a < c < b < d or c < a < d < b:
-                crossings += 1
-    return crossings
 
 
 def enumerate_arrangements(tree: LinearizedTree,
@@ -263,24 +200,3 @@ def _next_vertices(unplaced: int, groups: tuple[int, ...]) -> int:
     if all(g == last for g in groups[i + 1:]):
         allowed |= last
     return allowed
-
-
-def min_d_formula(shape: TreeShape, n: int) -> int:
-    """Closed-form minimum of D: n-1 for paths, (n^2 - n mod 2)/4 for stars."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    if shape in (TreeShape.LINEAR, TreeShape.BOTH):
-        return n - 1
-    if shape is TreeShape.STAR:
-        return (n * n - (n % 2)) // 4
-    raise ValueError(f"no closed form for shape {shape.value!r}")
-
-
-def _numpy():
-    """numpy, or an ImportError that says how to install it."""
-    try:
-        import numpy
-    except ImportError as exc:      # the "sim" extra
-        raise ImportError("sampling needs numpy: "
-                          "pip install 'ddmtest[sim]'") from exc
-    return numpy

@@ -1,4 +1,5 @@
-"""Shared builders for small trees used across the suite, the
+"""Shared builders for small trees used across the suite, plain-Python
+references that recount a tree's degrees, shape, D and crossings, the
 benchmark's generated collections at seed 401, and a guard against child
 processes a test leaves behind."""
 
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ddmtest import LinearizedTree
+from ddmtest import LinearizedTree, TreeShape
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -63,6 +64,48 @@ def caterpillar_tree(n: int) -> LinearizedTree:
         raise ValueError("needs n >= 5")
     edges = [(i, i + 1) for i in range(1, n - 1)] + [(2, n)]
     return LinearizedTree(n, edges)
+
+
+def degrees(tree: LinearizedTree) -> list[int]:
+    """Each vertex's degree, in vertex order."""
+    deg = [0] * (tree.n + 1)
+    for u, v in tree.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg[1:]
+
+
+def classify(tree: LinearizedTree) -> TreeShape | None:
+    """Classify by maximum degree: path vs star, coinciding for n <= 3;
+    None for any other shape."""
+    if tree.n < 2:
+        raise ValueError("shape is defined for n >= 2")
+    if tree.n <= 3:
+        return TreeShape.BOTH
+    hub = max(degrees(tree))
+    if hub == tree.n - 1:
+        return TreeShape.STAR
+    if hub == 2:
+        return TreeShape.LINEAR
+    return None
+
+
+def sum_of_distances(tree: LinearizedTree) -> int:
+    """Total edge length of the observed arrangement: sum of |pos(u)-pos(v)|."""
+    return sum(v - u for u, v in tree.edges)
+
+
+def count_crossings(tree: LinearizedTree) -> int:
+    """Number of edge pairs whose position spans strictly interleave."""
+    spans = tree.edges  # already (lo, hi) sorted pairs
+    crossings = 0
+    for i in range(len(spans)):
+        a, b = spans[i]
+        for j in range(i + 1, len(spans)):
+            c, d = spans[j]
+            if a < c < b < d or c < a < d < b:
+                crossings += 1
+    return crossings
 
 
 def brute_force_distribution(tree: LinearizedTree,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import path_tree, star_tree
+from conftest import degrees, path_tree, star_tree, sum_of_distances
 from ddmtest import nullmodels
 from ddmtest import (
     Direction,
@@ -22,9 +22,8 @@ from ddmtest import (
     noncrossing_mixture_probability,
     sample_distance_sums,
     sample_random_arrangement,
-    shape_tail_probability,
-    sum_of_distances,
 )
+from ddmtest.nullmodels import null_probability
 
 P_STAR_GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                Fraction(3, 4), Fraction(1)]
@@ -64,6 +63,17 @@ class TestExpectedD:
                 expected_d_random_arrangement(n)
 
 
+# the weights that put all of a tree's mass on one counted tree
+SHAPE_WEIGHTS = {TreeShape.BOTH: (1, 0, 0), TreeShape.STAR: (0, 1, 0),
+                 TreeShape.LINEAR: (0, 0, 1)}
+
+
+def shape_tail(shape, direction):
+    """P(D beyond its mean) for the counted tree of ``shape``, by the
+    product's route."""
+    return null_probability(SHAPE_WEIGHTS[shape], direction)
+
+
 class TestShapeTailProbability:
     @pytest.mark.parametrize("shape,n,direction,expected", [
         (TreeShape.BOTH, 3, Direction.ABOVE, Fraction(2, 3)),
@@ -74,17 +84,8 @@ class TestShapeTailProbability:
         (TreeShape.LINEAR, 4, Direction.BELOW, Fraction(1, 4)),
     ])
     def test_table(self, shape, n, direction, expected):
-        assert shape_tail_probability(shape, n, direction) == expected
-
-    @pytest.mark.parametrize("shape,n", [
-        (TreeShape.OTHER, 5),
-        (TreeShape.STAR, 3),
-        (TreeShape.BOTH, 4),
-        (TreeShape.LINEAR, 5),
-    ])
-    def test_unsupported(self, shape, n):
-        with pytest.raises(ValueError):
-            shape_tail_probability(shape, n, Direction.ABOVE)
+        assert nullmodels.COUNTED_TREES[shape].n == n
+        assert shape_tail(shape, direction) == expected
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_agrees_with_enumeration(self, direction):
@@ -98,7 +99,7 @@ class TestShapeTailProbability:
             mean = expected_d_random_arrangement(n)
             mass = (dist.mass_above(mean) if direction is Direction.ABOVE
                     else dist.mass_below(mean))
-            assert shape_tail_probability(shape, n, direction) == mass
+            assert shape_tail(shape, direction) == mass
 
 
 class TestEnsembleSpec:
@@ -145,8 +146,8 @@ class TestMixtureProbability:
     @pytest.mark.parametrize("p_s", P_STAR_GRID)
     @pytest.mark.parametrize("direction", list(Direction))
     def test_is_shape_weighted_average(self, p_s, direction):
-        star = shape_tail_probability(TreeShape.STAR, 4, direction)
-        linear = shape_tail_probability(TreeShape.LINEAR, 4, direction)
+        star = shape_tail(TreeShape.STAR, direction)
+        linear = shape_tail(TreeShape.LINEAR, direction)
         assert mixture_probability(EnsembleSpec.real(p_s), direction) == \
             p_s * star + (1 - p_s) * linear
 
@@ -157,8 +158,8 @@ class TestMixtureProbability:
         1/2) + Bin(l, 1/4), which has less variance: its exact tail at the
         smallest g of nominal size <= 1/20 is <= 1/20 too."""
         alpha = Fraction(1, 20)
-        star = shape_tail_probability(TreeShape.STAR, 4, direction)
-        linear = shape_tail_probability(TreeShape.LINEAR, 4, direction)
+        star = shape_tail(TreeShape.STAR, direction)
+        linear = shape_tail(TreeShape.LINEAR, direction)
 
         def weights(k, q):      # k + 1 binomial masses, times q.denominator^k
             hit, miss = q.numerator, q.denominator - q.numerator
@@ -234,7 +235,7 @@ class TestSampleRandomArrangement:
         tree = path_tree(7)
         shuffled = sample_random_arrangement(tree, 123)
         assert shuffled.n == tree.n
-        assert sorted(shuffled.degrees) == sorted(tree.degrees)
+        assert sorted(degrees(shuffled)) == sorted(degrees(tree))
 
     def test_generator_advances(self):
         rng = np.random.default_rng(0)
@@ -288,3 +289,7 @@ class TestSampleDistanceSums:
     def test_values_in_support(self):
         d = sample_distance_sums(star_tree(4), 5000, np.random.default_rng(2))
         assert set(np.unique(d)) <= {4, 6}
+
+    def test_single_vertex(self):
+        d = sample_distance_sums(LinearizedTree(1, []), 5, 0)
+        assert d.tolist() == [0] * 5

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_distribution, path_tree, star_tree
+from conftest import brute_force_distribution, classify, count_crossings, \
+    path_tree, star_tree, sum_of_distances
 from ddmtest import (
     Direction,
     LevelCounts,
@@ -29,12 +30,9 @@ from ddmtest import (
     TreeShape,
     analyze_collection,
     binomial_upper_tail_exact,
-    classify,
-    count_crossings,
     emit_report,
     load_families,
     run_tests,
-    sum_of_distances,
     tally_level,
 )
 import ddmtest

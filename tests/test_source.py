@@ -1,11 +1,15 @@
 """Checks on the source of ``ddmtest`` itself, read with ``ast``: no module
 imports a name it never uses, no private module-level name is left that
 no module of the package refers to, no function or lambda takes a
-parameter that its body never reads, and every name the benchmark's
-tracer wraps is there to be wrapped."""
+parameter that its body never reads, every name the benchmark's tracer
+wraps is there to be wrapped, and every name the package exports is used
+by another of its modules or named in README, the acceptance tests or the
+tracer. README's library example runs and gives the values it states."""
 
 import ast
 import importlib
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,10 @@ import ddmtest
 PACKAGE = Path(ddmtest.__file__).resolve().parent
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(PACKAGE.glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def loaded_names(tree: ast.Module) -> set[str]:
@@ -59,15 +67,18 @@ def private_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def referenced(tree: ast.Module) -> set[str]:
+    """Every name a module reads or imports from another module."""
+    names = loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
 def referenced_anywhere() -> set[str]:
     """Every name any module of the package reads or imports."""
-    names = set()
-    for tree in TREES.values():
-        names |= loaded_names(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names.update(a.name for a in node.names)
-    return names
+    return set().union(*map(referenced, TREES.values()))
 
 
 def unread_parameters(tree: ast.Module) -> list[str]:
@@ -114,9 +125,6 @@ def test_every_parameter_is_read(module):
     assert unread_parameters(TREES[module]) == []
 
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
 def traced_targets() -> list[tuple[str, str]]:
     """(owner, attribute) of each ``wrap`` and ``wrap_iterator`` call in
     the benchmark's tracer, the owner as written: ``pipeline`` or
@@ -160,3 +168,30 @@ def test_no_traced_function_is_imported_by_name():
                 bound += [f"{module}: {source}.{a.name}" for a in node.names
                           if (source, a.name) in wrapped]
     assert bound == []
+
+
+def test_every_export_is_used():
+    """A name in ``__all__`` that no other module of the package reads, and
+    that README, the acceptance tests and the tracer never name, is
+    surface that nothing needs."""
+    used = set().union(*(referenced(tree) for module, tree in TREES.items()
+                         if module != "__init__.py"))
+    for path in (README, ACCEPTANCE, TRACING):
+        used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    assert sorted(set(ddmtest.__all__) - used) == []
+
+
+def test_readme_library_example_runs():
+    """The first Python block under README's "Library" heading runs, and
+    its bare expressions give the values its comments state."""
+    text = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = ast.parse(text.split("```python\n", 1)[1].split("```", 1)[0])
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["dist"].counts == {4: 12, 6: 12}
+    shown = [eval(compile(ast.Expression(stmt.value), "README.md", "eval"),
+                  scope)
+             for stmt in code.body if isinstance(stmt, ast.Expr)]
+    assert shown == [5, Fraction(5, 16)]
+    report = scope["report"]
+    assert len(report.results) == 8 and not report.is_empty

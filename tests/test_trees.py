@@ -9,18 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_distribution, caterpillar_tree, path_tree, star_tree
+from conftest import brute_force_distribution, caterpillar_tree, classify, \
+    count_crossings, degrees, path_tree, star_tree, sum_of_distances
 from ddmtest import trees as trees_module
 from ddmtest import (
     DistanceDistribution,
     EnumerationCapError,
     LinearizedTree,
     TreeShape,
-    classify,
-    count_crossings,
     enumerate_arrangements,
-    min_d_formula,
-    sum_of_distances,
 )
 from ddmtest.treebank import RawSentence, RawToken, preprocess
 
@@ -40,7 +37,7 @@ class TestLinearizedTree:
 
     def test_single_vertex(self):
         t = LinearizedTree(1, [])
-        assert t.n == 1 and t.hub_degree == 0
+        assert t.n == 1 and degrees(t) == [0]
 
     @pytest.mark.parametrize("n,edges", [
         (3, [(1, 2)]),                      # too few edges
@@ -57,8 +54,8 @@ class TestLinearizedTree:
 
     def test_degrees_and_hub(self):
         t = star_tree(5, hub=3)
-        assert t.degrees == [1, 1, 4, 1, 1]
-        assert t.hub_degree == 4
+        assert degrees(t) == [1, 1, 4, 1, 1]
+        assert max(degrees(t)) == 4
 
 
 def labelled_trees(n: int) -> list[LinearizedTree]:
@@ -193,7 +190,7 @@ class TestClassify:
         assert classify(path_tree(2)) is TreeShape.BOTH
 
     def test_n5_spider_is_other(self):
-        assert classify(caterpillar_tree(5)) is TreeShape.OTHER
+        assert classify(caterpillar_tree(5)) is None
 
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
@@ -351,7 +348,7 @@ class TestEnumerateArrangements:
         assert full.mean() == Fraction(10 * 10 - 1, 3)
         crossing_free = enumerate_arrangements(tree, restrict_noncrossing=True)
         assert crossing_free.total == \
-            10 * math.prod(map(math.factorial, tree.degrees))
+            10 * math.prod(map(math.factorial, degrees(tree)))
 
     def test_crossing_free_paths_and_stars_at_n10(self):
         path = enumerate_arrangements(path_tree(10), restrict_noncrossing=True)
@@ -378,26 +375,12 @@ class TestEnumerateArrangements:
 
 
 class TestMinDFormula:
-    def test_linear_n4(self):
-        assert min_d_formula(TreeShape.LINEAR, 4) == 3
-
-    def test_star_n4(self):
-        assert min_d_formula(TreeShape.STAR, 4) == 4
-
-    def test_both_n3(self):
-        assert min_d_formula(TreeShape.BOTH, 3) == 2
-        assert min_d_formula(TreeShape.STAR, 3) == 2  # formulas agree at n=3
-
-    def test_other_unsupported(self):
-        with pytest.raises(ValueError):
-            min_d_formula(TreeShape.OTHER, 5)
-
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_enumeration_support(self, n):
-        assert enumerate_arrangements(path_tree(n)).support_min() == \
-            min_d_formula(TreeShape.LINEAR, n)
-        assert enumerate_arrangements(star_tree(n)).support_min() == \
-            min_d_formula(TreeShape.STAR, n)
+        # n - 1 for paths, (n^2 - n mod 2) / 4 for stars
+        assert min(enumerate_arrangements(path_tree(n)).counts) == n - 1
+        assert min(enumerate_arrangements(star_tree(n)).counts) == \
+            (n * n - n % 2) // 4
 
 
 class TestDistanceDistribution:
