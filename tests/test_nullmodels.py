@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import degrees, path_tree, star_tree, sum_of_distances
+from conftest import classify, degrees, path_tree, star_tree, \
+    sum_of_distances
 from ddmtest import nullmodels
 from ddmtest import (
     Direction,
@@ -86,6 +87,10 @@ class TestShapeTailProbability:
     def test_table(self, shape, n, direction, expected):
         assert nullmodels.COUNTED_TREES[shape].n == n
         assert shape_tail(shape, direction) == expected
+
+    @pytest.mark.parametrize("shape", list(TreeShape))
+    def test_counted_tree_has_its_shape(self, shape):
+        assert classify(nullmodels.COUNTED_TREES[shape]) is shape
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_agrees_with_enumeration(self, direction):

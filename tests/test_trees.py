@@ -375,6 +375,21 @@ class TestEnumerateArrangements:
 
 
 class TestMinDFormula:
+    def test_linear_n4(self):
+        assert min(enumerate_arrangements(path_tree(4)).counts) == 3
+
+    def test_star_n4(self):
+        assert min(enumerate_arrangements(star_tree(4)).counts) == 4
+
+    def test_both_n3(self):
+        assert min(enumerate_arrangements(path_tree(3)).counts) == 2
+        assert min(enumerate_arrangements(star_tree(3)).counts) == 2
+
+    def test_other_lies_between(self):
+        """The n = 5 spider's minimum, 5, lies strictly between the path's
+        4 and the star's 6."""
+        assert min(enumerate_arrangements(caterpillar_tree(5)).counts) == 5
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_enumeration_support(self, n):
         # n - 1 for paths, (n^2 - n mod 2) / 4 for stars
